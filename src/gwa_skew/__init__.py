@@ -1,15 +1,13 @@
 """Exact-arithmetic generalized Weyl algebras over K[h] and their skew
 derivations, with machine-checkable orthogonality certificates."""
 
-from .poly import AffineAuto, BezoutWitness, Poly, Rat, apply_auto, extended_gcd, is_root_of_unity
+from .poly import AffineAuto, BezoutWitness, Poly, extended_gcd, is_root_of_unity
 from .gwa import (
     AlgebraMismatch,
-    DegreeCountingAuto,
     Grading,
     GwaAlgebra,
     GwaElement,
     graded_degree,
-    gwa_mul,
     make_grading,
     sigma_mu,
     xy_symmetry,

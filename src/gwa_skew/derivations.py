@@ -363,24 +363,12 @@ class QCheckResult:
 
 def _scalar_ratio(num: GwaElement, den: GwaElement) -> Fraction | None:
     """Q with num = Q * den, if a single such scalar exists (den nonzero)."""
-    if set(num.terms) != set(den.terms):
+    n, d = num.coordinates(), den.coordinates()
+    if n.keys() != d.keys():
         return None
-    ratio = None
-    for k, p in den.terms.items():
-        q = num.terms[k]
-        if len(q.coeffs) != len(p.coeffs):
-            return None
-        for cn, cd in zip(q.coeffs, p.coeffs):
-            if cd == 0:
-                if cn != 0:
-                    return None
-                continue
-            r = cn / cd
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                return None
-    return ratio
+    key = next(iter(d))
+    ratio = n[key] / d[key]
+    return ratio if all(n[k] == ratio * c for k, c in d.items()) else None
 
 
 def q_check(d: SkewDerivation) -> QCheckResult:
@@ -399,8 +387,6 @@ def q_check(d: SkewDerivation) -> QCheckResult:
     Q = None
     for g, val in values.items():
         if val.is_zero():
-            if not conjugated[g].is_zero():
-                return QCheckResult(False)
             continue
         r = _scalar_ratio(conjugated[g], val)
         if r is None:
@@ -529,6 +515,13 @@ def build_finite_order(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
 # -- inner witnesses --------------------------------------------------------
 
 
+def _generator_coordinates(
+    values: dict[str, GwaElement],
+) -> dict[tuple[str, int, int], Fraction]:
+    """Coordinates of the values on h, x, y, keyed by (generator, deg, i)."""
+    return {(g, *key): c for g, e in values.items() for key, c in e.coordinates().items()}
+
+
 def inner_witness(
     d: SkewDerivation, A: GwaAlgebra, degree_bound: int, poly_bound: int
 ) -> GwaElement | None:
@@ -544,43 +537,26 @@ def inner_witness(
         raise DerivationError("derivation is over a different algebra")
     mu = d.mu
     generators = {"h": A.h(), "x": A.x(), "y": A.y()}
-    columns = []  # (basis element, {gen: commutator value})
-    for k in range(-degree_bound, degree_bound + 1):
+    degrees = range(-degree_bound, degree_bound + 1)
+    columns = []  # column t*(poly_bound+1) + j is h^j X_k for the t-th degree k
+    for k in degrees:
         for j in range(poly_bound + 1):
             basis = A.monomial(k, Poly.monomial(1, j))
             images = {
                 g: basis * sigma_mu(e, mu) - e * basis for g, e in generators.items()
             }
-            columns.append((basis, images))
-
-    # Row space: one row per (generator, term degree, h power) that occurs.
-    targets = {"h": d.on_h, "x": d.on_x, "y": d.on_y}
-    row_keys: list[tuple[str, int, int]] = []
-    seen = set()
-    def note_rows(g: str, e: GwaElement) -> None:
-        for deg, p in e.terms.items():
-            for i, c in enumerate(p.coeffs):
-                if c != 0 and (g, deg, i) not in seen:
-                    seen.add((g, deg, i))
-                    row_keys.append((g, deg, i))
-    for g in generators:
-        note_rows(g, targets[g])
-        for _, images in columns:
-            note_rows(g, images[g])
-
-    matrix = []
-    rhs = []
-    for g, deg, i in row_keys:
-        matrix.append([images[g].coeff(deg).coeff(i) for _, images in columns])
-        rhs.append(targets[g].coeff(deg).coeff(i))
-    solution = linalg.solve(matrix, rhs)
+            columns.append(_generator_coordinates(images))
+    target = _generator_coordinates({"h": d.on_h, "x": d.on_x, "y": d.on_y})
+    solution = linalg.solve(*linalg.assemble(columns, target))
     if solution is None:
         return None
-    witness = A.zero()
-    for coeff, (basis, _) in zip(solution, columns):
-        witness = witness + coeff * basis
+    n = poly_bound + 1
+    witness = A.element(
+        {k: Poly(solution[t * n : (t + 1) * n]) for t, k in enumerate(degrees)}
+    )
     rebuilt = inner_derivation(witness, A, mu)
-    assert (rebuilt.on_h, rebuilt.on_x, rebuilt.on_y) == (d.on_h, d.on_x, d.on_y)
+    if (rebuilt.on_h, rebuilt.on_x, rebuilt.on_y) != (d.on_h, d.on_x, d.on_y):
+        raise ArithmeticError("inner witness fails re-verification")
     return witness
 
 

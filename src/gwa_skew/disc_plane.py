@@ -247,10 +247,7 @@ def sigma_q_dimension(A: GwaAlgebra, M: int, N: int) -> int:
         for n in range(N + 1):
             mono = yx_monomial(A, m, n)
             columns.append(x * mono - q * (mono * sig_x))  # d(y) slot
-    row_keys = sorted(
-        {(k, i) for col in columns for k, p in col.terms.items() for i in range(len(p.coeffs))}
-    )
-    matrix = [[col.coeff(k).coeff(i) for col in columns] for k, i in row_keys]
+    matrix, _ = linalg.assemble([col.coordinates() for col in columns], {})
     return linalg.nullspace_dimension(matrix, len(columns))
 
 

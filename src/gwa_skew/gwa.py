@@ -153,6 +153,13 @@ class GwaElement:
     def coeff(self, k: int) -> Poly:
         return self.terms.get(k, Poly.zero())
 
+    def coordinates(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero coefficients c of the basis elements h^i X_deg,
+        keyed by (deg, i): the coordinate vector of the element over K."""
+        return {
+            (k, i): c for k, p in self.terms.items() for i, c in enumerate(p.coeffs) if c != 0
+        }
+
     def degrees(self) -> list[int]:
         return sorted(self.terms)
 
@@ -248,13 +255,6 @@ class GwaElement:
         return " + ".join(parts)
 
 
-def gwa_mul(A: GwaAlgebra, e1: GwaElement, e2: GwaElement) -> GwaElement:
-    """Exact normal-form product in A."""
-    if e1.algebra != A or e2.algebra != A:
-        raise AlgebraMismatch("elements do not belong to the given algebra")
-    return e1 * e2
-
-
 def sigma_mu(e: GwaElement, mu: Fraction, exponent: int = 1) -> GwaElement:
     """Degree-counting automorphism of coarseness mu (identity on K[h]).
 
@@ -266,19 +266,6 @@ def sigma_mu(e: GwaElement, mu: Fraction, exponent: int = 1) -> GwaElement:
     return GwaElement(
         e.algebra, {k: p * mu ** (-k * exponent) for k, p in e.terms.items()}
     )
-
-
-@dataclass(frozen=True)
-class DegreeCountingAuto:
-    """The automorphism sigma_mu: identity on K[h], x -> mu^{-1} x, y -> mu y."""
-
-    mu: Fraction
-
-    def __call__(self, e: GwaElement) -> GwaElement:
-        return sigma_mu(e, self.mu)
-
-    def inverse(self, e: GwaElement) -> GwaElement:
-        return sigma_mu(e, self.mu, exponent=-1)
 
 
 # -- gradings ------------------------------------------------------------
@@ -311,18 +298,10 @@ def make_grading(A: GwaAlgebra, w: int, k: int) -> Grading:
 
 def graded_degree(G: Grading, e: GwaElement) -> int | None:
     """Common total degree of all monomials of e, or None if inhomogeneous."""
-    degree = None
-    for k, p in e.terms.items():
-        gen_deg = k * G.k if k >= 0 else (-k) * (G.d - G.k)
-        for i, c in enumerate(p.coeffs):
-            if c == 0:
-                continue
-            d = i * G.w + gen_deg
-            if degree is None:
-                degree = d
-            elif degree != d:
-                return None
-    return degree
+    degrees = {
+        i * G.w + (k * G.k if k >= 0 else -k * (G.d - G.k)) for k, i in e.coordinates()
+    }
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 # -- x-y symmetry ----------------------------------------------------------

@@ -1,13 +1,31 @@
-"""Exact linear algebra over the rationals (dense Gaussian elimination).
+"""Exact linear algebra over the rationals (dense Gauss-Jordan elimination).
 
-Sizes in this project stay in the low hundreds, so plain fraction-free-
-free elimination over `Fraction` is entirely adequate and keeps results
-exact.
+Sizes in this project stay in the low hundreds, so Gauss-Jordan
+elimination over `Fraction` is adequate and keeps results exact.  Callers
+describe a system by sparse coordinate columns, such as
+`GwaElement.coordinates()`, and turn it into the dense matrix that `rank`,
+`nullspace_dimension` and `solve` take with `assemble`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Mapping
 from fractions import Fraction
+
+_ZERO = Fraction(0)
+
+
+def assemble(
+    columns: list[Mapping[Hashable, Fraction]], target: Mapping[Hashable, Fraction]
+) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """Dense (matrix, rhs) of the system sum_j x_j * columns[j] = target.
+
+    There is one row per key that occurs in a column or in the target, in
+    sorted key order; keys absent from a map read as 0.
+    """
+    keys = sorted({key for col in [*columns, target] for key in col})
+    matrix = [[col.get(key, _ZERO) for col in columns] for key in keys]
+    return matrix, [target.get(key, _ZERO) for key in keys]
 
 
 def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:

@@ -325,10 +325,16 @@ def _coprime_check(label: str, p: Poly, r: Poly) -> HypothesisCheck:
     if p.is_zero() or r.is_zero():
         return HypothesisCheck(label, False, "zero polynomial generates a proper ideal")
     witness = extended_gcd(p, r)
-    assert witness.check()
     if witness.coprime:
         return HypothesisCheck(label, True)
     return HypothesisCheck(label, False, f"gcd = {witness.g}")
+
+
+def _twist_check(
+    label: str, alpha: TwistedPolyDerivation, A: GwaAlgebra, mu: Fraction
+) -> HypothesisCheck:
+    ok = alpha.twist_condition_ok(A, mu)
+    return HypothesisCheck(label, ok, "" if ok else "commutation with phi fails")
 
 
 def elementary_pair(
@@ -371,13 +377,7 @@ def elementary_pair(
             "alpha(a)-coprime-shift", alpha_a, A.phi.apply(alpha_a, -m)
         )
     )
-    checks.append(
-        HypothesisCheck(
-            "alpha-twist",
-            alpha.twist_condition_ok(A, mu),
-            "" if alpha.twist_condition_ok(A, mu) else "commutation with phi fails",
-        )
-    )
+    checks.append(_twist_check("alpha-twist", alpha, A, mu))
     # hypotheses on the negative-weight derivation
     shifted = A.phi.apply(abar_a, n + 1)
     js = list(range(-n - 1, 1)) + list(range(n + 1, 2 * n + 1))
@@ -390,13 +390,7 @@ def elementary_pair(
     checks.append(
         _coprime_check("abar(a)-coprime-shift", shifted, A.phi.apply(abar_a, 1))
     )
-    checks.append(
-        HypothesisCheck(
-            "abar-twist",
-            abar.twist_condition_ok(A, mubar),
-            "" if abar.twist_condition_ok(A, mubar) else "commutation with phi fails",
-        )
-    )
+    checks.append(_twist_check("abar-twist", abar, A, mubar))
     return d, dbar, PairHypothesisReport(tuple(checks))
 
 

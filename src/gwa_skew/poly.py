@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-Rat = Fraction
 Scalar = Union[int, Fraction]
 
 MINUS_INFINITY = float("-inf")  # degree of the zero polynomial
@@ -273,11 +272,6 @@ class AffineAuto:
         return f"AffineAuto(u={self.u}, v={self.v})"
 
 
-def apply_auto(phi: AffineAuto, k: int, p: Poly) -> Poly:
-    """Apply the k-th power of an affine automorphism to a polynomial."""
-    return phi.apply(p, k)
-
-
 @dataclass(frozen=True)
 class BezoutWitness:
     """Certificate s*lhs + t*rhs = g with g the monic gcd."""
@@ -310,5 +304,6 @@ def extended_gcd(p: Poly, q: Poly) -> BezoutWitness:
         old_t, t = t, old_t - quot * t
     lc = old_r.leading()
     witness = BezoutWitness(old_r * (1 / lc), old_s * (1 / lc), old_t * (1 / lc), p, q)
-    assert witness.check()
+    if not witness.check():
+        raise ArithmeticError(f"Bezout witness for gcd({p}, {q}) fails s*p + t*q = g")
     return witness

@@ -228,7 +228,7 @@ def test_commutation_identity_negative_control():
 # -- dimension counts ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bounds", [(1, 1), (2, 2), (1, 3)])
+@pytest.mark.parametrize("bounds", [(1, 1), (2, 2), (1, 3), (3, 4), (4, 4)])
 @pytest.mark.parametrize("label", ["disc", "plane"])
 def test_sigma_q_dimension_matches_parameter_count(label, bounds):
     M, N = bounds

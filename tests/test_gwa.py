@@ -43,6 +43,18 @@ def test_coefficient_pull_through():
     assert A.y() * A.h() == A.monomial(-1, Poly([0, Fraction(1, 2)]))
 
 
+def test_coordinates_rebuild_the_element():
+    A = GwaAlgebra.plane(3)
+    assert A.zero().coordinates() == {}
+    rng = rng_for("coordinates")
+    for _ in range(30):
+        e = random_element(rng, A)
+        coords = e.coordinates()
+        assert all(c != 0 for c in coords.values())
+        terms = (A.monomial(k, Poly.monomial(c, i)) for (k, i), c in coords.items())
+        assert sum(terms, A.zero()) == e
+
+
 def test_algebra_mismatch_rejected():
     A, B = GwaAlgebra.disc(2), GwaAlgebra.plane(2)
     with pytest.raises(AlgebraMismatch):

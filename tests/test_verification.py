@@ -1,0 +1,40 @@
+"""Verification steps raise explicit exceptions, so they survive `python -O`."""
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from gwa_skew import GwaAlgebra, SkewDerivation, derivations, inner_derivation, inner_witness
+from gwa_skew.poly import BezoutWitness, Poly, extended_gcd
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "gwa_skew"
+
+
+def test_library_has_no_assert_statements():
+    modules = sorted(SOURCE.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_extended_gcd_raises_on_failed_witness(monkeypatch):
+    monkeypatch.setattr(BezoutWitness, "check", lambda self: False)
+    with pytest.raises(ArithmeticError):
+        extended_gcd(Poly([1, -1]), Poly([1, -2]))
+
+
+def test_inner_witness_raises_on_failed_reverification(monkeypatch):
+    A, mu = GwaAlgebra.plane(2), Fraction(2)
+    d = inner_derivation(A.x(), A, mu)
+    # a rebuild that disagrees with d, as a faulty solve would produce
+    rebuild_zero = lambda b, A, mu: SkewDerivation.zero(A, mu)
+    monkeypatch.setattr(derivations, "inner_derivation", rebuild_zero)
+    with pytest.raises(ArithmeticError):
+        inner_witness(d, A, 1, 1)
