@@ -1,5 +1,10 @@
 """Command-line front end: JSON in, JSON out, exact fractions throughout.
 
+Each subcommand is one entry of the `COMMANDS` table: its handler, its help
+line and its flags.  `build_parser` turns that table into the argparse
+grammar once per process, and every `run` reuses it.  A handler returns the
+JSON payload of a success and raises for anything else.
+
 Exit codes: 0 on success, 1 on verification failure, 2 on malformed input.
 Outputs are deterministic (sorted keys, compact separators), so fixed
 invocations are byte-stable.
@@ -8,9 +13,9 @@ invocations are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import serialize as ser
 from .derivations import (
@@ -35,48 +40,25 @@ class VerificationFailure(Exception):
     """Carries a JSON-ready failure payload (exit code 1)."""
 
     def __init__(self, payload: dict):
-        super().__init__(ser.dumps(payload))
+        super().__init__(payload)
         self.payload = payload
 
 
-def _emit(payload: dict) -> int:
-    print(ser.dumps(payload))
-    return OK
-
-
-def _parse_rat(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad fraction {text!r}: {exc}") from exc
+def _error(kind: str, exc: Exception, **extra) -> dict:
+    return {"error": {"detail": str(exc), "kind": kind, **extra}}
 
 
 def _algebra(args) -> GwaAlgebra:
-    if getattr(args, "algebra_json", None):
-        return ser.algebra_from_json(_load_json(args.algebra_json))
-    if args.algebra in ("disc", "plane"):
-        if args.q is None:
-            raise SchemaError("--q is required for the disc/plane presets")
-        q = _parse_rat(args.q)
-        try:
-            return GwaAlgebra.disc(q) if args.algebra == "disc" else GwaAlgebra.plane(q)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
-    raise SchemaError("custom algebras are passed via --algebra-json")
+    if args.algebra_json:
+        return ser.algebra_from_json(_parse_json(args.algebra_json))
+    if args.algebra == "custom":
+        raise SchemaError("custom algebras are passed via --algebra-json")
+    if args.q is None:
+        raise SchemaError("--q is required for the disc/plane presets")
+    return ser.algebra_from_json({"label": args.algebra, "q": args.q})
 
 
-def _load_json(text_or_path: str, from_input: bool = False) -> object:
-    if from_input:
-        if text_or_path == "-":
-            text = sys.stdin.read()
-        else:
-            try:
-                with open(text_or_path) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise SchemaError(f"cannot read {text_or_path!r}: {exc}") from exc
-    else:
-        text = text_or_path
+def _parse_json(text: str) -> object:
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -84,123 +66,113 @@ def _load_json(text_or_path: str, from_input: bool = False) -> object:
 
 
 def _input_doc(args) -> object:
-    return _load_json(args.input, from_input=True)
+    """The document named by --input: a file path, or - for stdin."""
+    if args.input == "-":
+        return _parse_json(sys.stdin.read())
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {args.input!r}: {exc}") from exc
+    return _parse_json(text)
 
 
-def _derivation(args, A: GwaAlgebra, doc=None):
-    doc = _input_doc(args) if doc is None else doc
+def _derivation(A: GwaAlgebra, doc):
     cand = ser.derivation_from_json(doc, A)
     report = check_relations(A, cand.mu, cand.on_h, cand.on_x, cand.on_y)
     if not report.ok:
         name, residual = report.violations[0]
-        raise VerificationFailure(
-            {
-                "verified": False,
-                "violation": {
-                    "relation": name,
-                    "residual": ser.element_to_json(residual),
-                },
-            }
-        )
+        violation = {"relation": name, "residual": ser.element_to_json(residual)}
+        raise VerificationFailure({"verified": False, "violation": violation})
     return report.derivation
 
 
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_mul(args) -> int:
+def _cmd_mul(args) -> dict:
     A = _algebra(args)
-    lhs = ser.element_from_json(_load_json(args.lhs), A)
-    rhs = ser.element_from_json(_load_json(args.rhs), A)
-    return _emit(ser.element_to_json(lhs * rhs))
+    lhs = ser.element_from_json(_parse_json(args.lhs), A)
+    rhs = ser.element_from_json(_parse_json(args.rhs), A)
+    return ser.element_to_json(lhs * rhs)
 
 
-def _cmd_lemma52(args) -> int:
-    q = _parse_rat(args.q)
+def _cmd_lemma52(args) -> dict:
+    q = ser.rat_from_json(args.q)
     if q == 0 or q == 1 or q == -1:
         raise SchemaError("q must avoid {0, 1, -1}")
     if args.n < 1:
         raise SchemaError("--n must be >= 1")
-    return _emit({"ok": disc_commutation_identities(args.n, q)})
+    return {"ok": disc_commutation_identities(args.n, q)}
 
 
-def _cmd_check_derivation(args) -> int:
+def _cmd_check_derivation(args) -> dict:
     A = _algebra(args)
-    _derivation(args, A)
-    return _emit({"verified": True})
+    _derivation(A, _input_doc(args))
+    return {"verified": True}
 
 
-def _cmd_build_derivation(args) -> int:
+def _cmd_build_derivation(args) -> dict:
     A = _algebra(args)
     data = ser.weight_data_from_json(_input_doc(args))
     try:
         d = build_derivation(data, A)
     except DerivationError as exc:
-        raise VerificationFailure({"error": {"detail": str(exc), "kind": "condition"}})
-    return _emit(ser.derivation_to_json(d))
+        raise VerificationFailure(_error("condition", exc))
+    return ser.derivation_to_json(d)
 
 
-def _cmd_build_sigma_q(args) -> int:
+def _cmd_build_sigma_q(args) -> dict:
     A = _algebra(args)
     data = ser.sigma_q_data_from_json(_input_doc(args))
-    d = build_sigma_q(data, A)
-    return _emit(ser.derivation_to_json(d))
+    return ser.derivation_to_json(build_sigma_q(data, A))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     A = _algebra(args)
-    d = _derivation(args, A)
+    d = _derivation(A, _input_doc(args))
     try:
         if args.mode == "positive":
-            return _emit(ser.weight_data_to_json(classify_positive(d, A)))
-        return _emit(ser.sigma_q_data_to_json(classify_sigma_q(d, A)))
+            return ser.weight_data_to_json(classify_positive(d, A))
+        return ser.sigma_q_data_to_json(classify_sigma_q(d, A))
     except ClassificationError as exc:
-        raise VerificationFailure(
-            {"error": {"detail": str(exc), "kind": "not-of-this-form"}}
-        )
+        raise VerificationFailure(_error("not-of-this-form", exc))
 
 
-def _cmd_q_check(args) -> int:
+def _cmd_q_check(args) -> dict:
     A = _algebra(args)
-    d = _derivation(args, A)
-    result = q_check(d)
+    result = q_check(_derivation(A, _input_doc(args)))
     payload = {"is_q_derivation": result.is_q_derivation}
     if result.is_q_derivation:
         payload["Q"] = ser.rat_to_json(result.Q)
-    return _emit(payload)
+    return payload
 
 
-def _cmd_degree_profile(args) -> int:
+def _cmd_degree_profile(args) -> dict:
     A = _algebra(args)
     try:
         grading = make_grading(A, args.w, args.k)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    d = _derivation(args, A)
-    shift = degree_profile(d, grading)
-    return _emit({"degree": "inhomogeneous" if shift is None else shift})
+    shift = degree_profile(_derivation(A, _input_doc(args)), grading)
+    return {"degree": "inhomogeneous" if shift is None else shift}
 
 
-def _cmd_inner_witness(args) -> int:
+def _cmd_inner_witness(args) -> dict:
     A = _algebra(args)
-    d = _derivation(args, A)
+    d = _derivation(A, _input_doc(args))
     witness = inner_witness(d, A, args.degree_bound, args.poly_bound)
-    if witness is None:
-        return _emit({"witness": None})
-    return _emit({"witness": ser.element_to_json(witness)})
+    return {"witness": None if witness is None else ser.element_to_json(witness)}
 
 
 def _systems_doc(args, A: GwaAlgebra) -> tuple[list, object]:
     doc = _input_doc(args)
     if not isinstance(doc, dict) or "derivations" not in doc:
         raise SchemaError("expected a document with a derivations array")
-    system = []
-    for entry in doc["derivations"]:
-        system.append(_derivation(args, A, doc=entry))
-    return system, doc
+    return [_derivation(A, entry) for entry in doc["derivations"]], doc
 
 
-def _cmd_ortho_build(args) -> int:
+def _cmd_ortho_build(args) -> dict:
     A = _algebra(args)
     system, doc = _systems_doc(args, A)
     if "b_list" not in doc:
@@ -209,14 +181,12 @@ def _cmd_ortho_build(args) -> int:
     try:
         cert = certificate_from_ideal(b_list, system, A)
     except CertificateError as exc:
-        payload = {"error": {"detail": str(exc), "kind": "certificate"}}
-        if exc.gcd is not None:
-            payload["error"]["gcd"] = ser.poly_to_json(exc.gcd)
-        raise VerificationFailure(payload)
-    return _emit(ser.certificate_to_json(cert))
+        extra = {} if exc.gcd is None else {"gcd": ser.poly_to_json(exc.gcd)}
+        raise VerificationFailure(_error("certificate", exc, **extra))
+    return ser.certificate_to_json(cert)
 
 
-def _cmd_ortho_verify(args) -> int:
+def _cmd_ortho_verify(args) -> dict:
     A = _algebra(args)
     system, doc = _systems_doc(args, A)
     if "certificate" not in doc:
@@ -225,116 +195,80 @@ def _cmd_ortho_verify(args) -> int:
     check = verify_certificate(cert, system, A)
     if not check.ok:
         i, k, residual = check.failures[0]
-        raise VerificationFailure(
-            {
-                "ok": False,
-                "failure": {"i": i, "k": k, "residual": ser.element_to_json(residual)},
-            }
-        )
-    return _emit({"ok": True})
+        failure = {"i": i, "k": k, "residual": ser.element_to_json(residual)}
+        raise VerificationFailure({"ok": False, "failure": failure})
+    return {"ok": True}
 
 
-# -- parser ---------------------------------------------------------------------
+# -- command table and parser ------------------------------------------------------
+
+REQUIRED, REQUIRED_INT = {"required": True}, {"type": int, "required": True}
+ALGEBRA_FLAGS = [
+    ("--algebra", {"choices": ["disc", "plane", "custom"], "default": "disc"}),
+    ("--q", {"help": "deformation parameter as num/den"}),
+    ("--algebra-json", {"help": "full algebra document (overrides presets)"}),
+]
+DOCUMENT_FLAGS = [
+    *ALGEBRA_FLAGS,
+    ("--input", {"default": "-", "help": "JSON document: a file path or - for stdin"}),
+]
+
+# name -> (handler, help line, flags as (flag, add_argument options))
+COMMANDS = {
+    "mul": (_cmd_mul, "multiply two normal-form elements",
+            [*ALGEBRA_FLAGS, ("--lhs", REQUIRED), ("--rhs", REQUIRED)]),
+    "lemma52": (_cmd_lemma52, "check the disc commutation identities",
+                [("--q", REQUIRED), ("--n", REQUIRED_INT)]),
+    "check-derivation": (_cmd_check_derivation, "verify generator values against the relations",
+                         DOCUMENT_FLAGS),
+    "build-derivation": (_cmd_build_derivation, "assemble a derivation from weighted data",
+                         DOCUMENT_FLAGS),
+    "build-sigma-q": (_cmd_build_sigma_q, "assemble a coarseness-q derivation", DOCUMENT_FLAGS),
+    "classify": (_cmd_classify, "recover constructor data from a derivation",
+                 [*DOCUMENT_FLAGS, ("--mode", {"choices": ["positive", "sigma-q"], **REQUIRED})]),
+    "q-check": (_cmd_q_check, "decide the scalar Q with sigma d sigma^{-1} = Q d", DOCUMENT_FLAGS),
+    "degree-profile": (_cmd_degree_profile, "degree shift of a derivation under a grading",
+                       [*DOCUMENT_FLAGS, ("--w", {**REQUIRED_INT, "help": "degree of h"}),
+                        ("--k", {**REQUIRED_INT, "help": "degree of x"})]),
+    "inner-witness": (_cmd_inner_witness, "search for a twisted-commutator witness",
+                      [*DOCUMENT_FLAGS, ("--degree-bound", REQUIRED_INT),
+                       ("--poly-bound", REQUIRED_INT)]),
+    "ortho-build": (_cmd_ortho_build, "construct an orthogonality certificate", DOCUMENT_FLAGS),
+    "ortho-verify": (_cmd_ortho_verify, "verify an orthogonality certificate", DOCUMENT_FLAGS),
+}
 
 
-def _add_algebra_flags(sub) -> None:
-    sub.add_argument("--algebra", choices=["disc", "plane", "custom"], default="disc")
-    sub.add_argument("--q", help="deformation parameter as num/den")
-    sub.add_argument("--algebra-json", help="full algebra document (overrides presets)")
-
-
-def _add_input_flag(sub) -> None:
-    sub.add_argument("--input", default="-", help="JSON document: a file path or - for stdin")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse grammar of `COMMANDS`, built on first use and then shared."""
     parser = argparse.ArgumentParser(
         prog="gwa-skew",
         description="Exact computations with skew derivations on generalized Weyl algebras",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("mul", help="multiply two normal-form elements")
-    _add_algebra_flags(p)
-    p.add_argument("--lhs", required=True)
-    p.add_argument("--rhs", required=True)
-    p.set_defaults(handler=_cmd_mul)
-
-    p = subs.add_parser("lemma52", help="check the disc commutation identities")
-    p.add_argument("--q", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_lemma52)
-
-    p = subs.add_parser("check-derivation", help="verify generator values against the relations")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.set_defaults(handler=_cmd_check_derivation)
-
-    p = subs.add_parser("build-derivation", help="assemble a derivation from weighted data")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.set_defaults(handler=_cmd_build_derivation)
-
-    p = subs.add_parser("build-sigma-q", help="assemble a coarseness-q derivation")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.set_defaults(handler=_cmd_build_sigma_q)
-
-    p = subs.add_parser("classify", help="recover constructor data from a derivation")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.add_argument("--mode", choices=["positive", "sigma-q"], required=True)
-    p.set_defaults(handler=_cmd_classify)
-
-    p = subs.add_parser("q-check", help="decide the scalar Q with sigma d sigma^{-1} = Q d")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.set_defaults(handler=_cmd_q_check)
-
-    p = subs.add_parser("degree-profile", help="degree shift of a derivation under a grading")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.add_argument("--w", type=int, required=True, help="degree of h")
-    p.add_argument("--k", type=int, required=True, help="degree of x")
-    p.set_defaults(handler=_cmd_degree_profile)
-
-    p = subs.add_parser("inner-witness", help="search for a twisted-commutator witness")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.add_argument("--degree-bound", type=int, required=True)
-    p.add_argument("--poly-bound", type=int, required=True)
-    p.set_defaults(handler=_cmd_inner_witness)
-
-    p = subs.add_parser("ortho-build", help="construct an orthogonality certificate")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.set_defaults(handler=_cmd_ortho_build)
-
-    p = subs.add_parser("ortho-verify", help="verify an orthogonality certificate")
-    _add_algebra_flags(p)
-    _add_input_flag(p)
-    p.set_defaults(handler=_cmd_ortho_verify)
-
+    for name, (handler, help_line, flags) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return BAD_INPUT if exc.code not in (0, None) else OK
     try:
-        return args.handler(args)
+        payload, code = args.handler(args), OK
     except VerificationFailure as exc:
-        print(ser.dumps(exc.payload))
-        return VERIFY_FAIL
+        payload, code = exc.payload, VERIFY_FAIL
     except SchemaError as exc:
-        print(ser.dumps({"error": {"detail": str(exc), "kind": "schema"}}))
-        return BAD_INPUT
-    except (DerivationError, ClassificationError, CertificateError, ValueError) as exc:
-        print(ser.dumps({"error": {"detail": str(exc), "kind": "invalid-input"}}))
-        return BAD_INPUT
+        payload, code = _error("schema", exc), BAD_INPUT
+    except ValueError as exc:  # DerivationError, ClassificationError, CertificateError
+        payload, code = _error("invalid-input", exc), BAD_INPUT
+    print(ser.dumps(payload))
+    return code
 
 
 def main() -> None:

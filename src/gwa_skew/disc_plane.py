@@ -96,10 +96,7 @@ def yx_monomial(A: GwaAlgebra, m: int, n: int) -> GwaElement:
 
 def _stair_poly(A: GwaAlgebra, m: int, shift: int) -> Poly:
     """Normal-form coefficient of y^{m+shift} x^m: phi^{-shift}(y^m x^m)."""
-    out = Poly.one()
-    for i in range(m):
-        out = out * A.phi.apply(A.a, -i)
-    return A.phi.apply(out, -shift)
+    return A.phi.apply(A._cross(-m, m), -shift)
 
 
 def _expand_in_stairs(r: Poly, A: GwaAlgebra, shift: int) -> dict[int, Fraction]:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from .derivations import SkewDerivation, TwistedPolyDerivation, elementary_derivation
 from .disc_plane import q_int
 from .gwa import GwaAlgebra, GwaElement, sigma_mu
-from .poly import Poly, extended_gcd
+from .poly import BezoutWitness, Poly, extended_gcd
 
 
 class CertificateError(ValueError):
@@ -128,6 +128,16 @@ def _single_term_or_zero(e: GwaElement) -> tuple[int, Poly] | None:
     return e.single_term()
 
 
+def _coprime_witness(left: Poly, right: Poly) -> BezoutWitness:
+    """Bezout witness of two landed polynomials; raises unless they are coprime."""
+    witness = extended_gcd(left, right)
+    if not witness.coprime:
+        raise CertificateError(
+            f"landed polynomials are not coprime (gcd = {witness.g})", gcd=witness.g
+        )
+    return witness
+
+
 def _row_triples(
     row_d: SkewDerivation,
     companions: list[SkewDerivation],
@@ -174,12 +184,7 @@ def _row_triples(
         value = row_value(designated)
         left = (flank_elem(e) * value).poly_part()
         right = (value * flank_elem(e)).poly_part()
-        witness = extended_gcd(left, right)
-        if not witness.coprime:
-            raise CertificateError(
-                f"landed polynomials are not coprime (gcd = {witness.g})",
-                gcd=witness.g,
-            )
+        witness = _coprime_witness(left, right)
         return [
             (flank_elem(e, witness.s), designated, A.one()),
             (A.from_poly(witness.t), designated, flank_elem(e)),
@@ -258,11 +263,7 @@ def _row_triples(
     right_poly = landed(right_triples)
     if left_poly.is_zero() or right_poly.is_zero():
         raise CertificateError("row combination degenerates to zero")
-    bez = extended_gcd(left_poly, right_poly)
-    if not bez.coprime:
-        raise CertificateError(
-            f"landed polynomials are not coprime (gcd = {bez.g})", gcd=bez.g
-        )
+    bez = _coprime_witness(left_poly, right_poly)
     scale = lambda s, triples: [
         (A.from_poly(s) * a, g, c) for a, g, c in triples if not (A.from_poly(s) * a).is_zero()
     ]
@@ -330,13 +331,6 @@ def _coprime_check(label: str, p: Poly, r: Poly) -> HypothesisCheck:
     return HypothesisCheck(label, False, f"gcd = {witness.g}")
 
 
-def _twist_check(
-    label: str, alpha: TwistedPolyDerivation, A: GwaAlgebra, mu: Fraction
-) -> HypothesisCheck:
-    ok = alpha.twist_condition_ok(A, mu)
-    return HypothesisCheck(label, ok, "" if ok else "commutation with phi fails")
-
-
 def elementary_pair(
     m: int,
     n: int,
@@ -347,21 +341,20 @@ def elementary_pair(
     mubar: Fraction,
 ) -> tuple[SkewDerivation, SkewDerivation, PairHypothesisReport]:
     """The weight m+1 and weight -(n+1) elementary derivations, plus the
-    coprimality/commutation hypotheses guaranteeing their orthogonality.
+    coprimality hypotheses guaranteeing their orthogonality.
 
-    Construction never fails on a hypothesis violation -- the derivations
-    exist regardless -- the report only flags that orthogonality is not
-    guaranteed.  Certificates are then attempted via certificate_from_ideal
-    with b_list = (y, x).
+    An alpha that fails the twist condition alpha o phi = mu * phi o alpha
+    admits no derivation, so construction raises `DerivationError`.  The
+    coprimality hypotheses do not affect construction: the report only
+    flags that orthogonality is not guaranteed.  Certificates are then
+    attempted via certificate_from_ideal with b_list = (y, x).
     """
     if m < 0 or n < 0:
         raise ValueError("weights need m, n >= 0")
     d = elementary_derivation(m + 1, alpha_on_h, A, mu)
     dbar = elementary_derivation(-(n + 1), abar_on_h, A, mubar)
-    alpha = TwistedPolyDerivation(m + 1, alpha_on_h)
-    abar = TwistedPolyDerivation(-(n + 1), abar_on_h)
-    alpha_a = alpha.apply(A.a, A)
-    abar_a = abar.apply(A.a, A)
+    alpha_a = TwistedPolyDerivation(m + 1, alpha_on_h).apply(A.a, A)
+    abar_a = TwistedPolyDerivation(-(n + 1), abar_on_h).apply(A.a, A)
     checks: list[HypothesisCheck] = []
     N = max(m, n)
     for i in range(1, 2 * N):
@@ -377,7 +370,6 @@ def elementary_pair(
             "alpha(a)-coprime-shift", alpha_a, A.phi.apply(alpha_a, -m)
         )
     )
-    checks.append(_twist_check("alpha-twist", alpha, A, mu))
     # hypotheses on the negative-weight derivation
     shifted = A.phi.apply(abar_a, n + 1)
     js = list(range(-n - 1, 1)) + list(range(n + 1, 2 * n + 1))
@@ -390,7 +382,6 @@ def elementary_pair(
     checks.append(
         _coprime_check("abar(a)-coprime-shift", shifted, A.phi.apply(abar_a, 1))
     )
-    checks.append(_twist_check("abar-twist", abar, A, mubar))
     return d, dbar, PairHypothesisReport(tuple(checks))
 
 

@@ -89,12 +89,6 @@ class Poly:
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lc = self.leading()
-        return Poly(c / lc for c in self.coeffs)
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -131,14 +125,6 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Poly.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def compose(self, inner: "Poly") -> "Poly":
         """Evaluate self at another polynomial (Horner)."""

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_fraction
 from gwa_skew import (
     CertificateError,
+    DerivationError,
     GwaAlgebra,
     OrthoCertificate,
     SkewDerivation,
@@ -120,6 +121,17 @@ def test_degenerate_zero_alpha_is_flagged():
     assert not report.ok
     with pytest.raises(CertificateError):
         certificate_from_ideal([DISC2.y(), DISC2.x()], [d, dbar], DISC2)
+
+
+def test_elementary_pair_raises_on_a_twist_violation():
+    # The twist condition is a precondition of the derivations themselves, so
+    # a violation raises instead of showing up in the hypothesis report.
+    with pytest.raises(DerivationError, match="alpha_2 fails"):
+        elementary_pair(1, 1, Poly([1]), Poly([1]), DISC2, F(3), F(3))
+    with pytest.raises(DerivationError, match="alpha_-2 fails"):
+        elementary_pair(1, 1, Poly([1]), Poly([1]), DISC2, F(2), F(3))
+    _, _, report = elementary_pair(1, 1, Poly([1]), Poly([1]), DISC2, F(2), F(2))
+    assert report.ok and not any("twist" in c.label for c in report.checks)
 
 
 def test_certificate_needs_generators():
