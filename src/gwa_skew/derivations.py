@@ -12,6 +12,15 @@ which `check_relations` verifies with exact arithmetic.  Because both sides
 of each r-indexed relation are twisted derivations in r, checking them at
 r = h suffices (the tests additionally spot-check r = h^2).
 
+On K[h] such a map splits into weight pieces.  Write d(h) = sum_k p_k X_k
+with X_k = x^k (k > 0), 1 (k = 0), y^{-k} (k < 0).  Since X_k r = phi^k(r) X_k
+and sigma_mu fixes K[h], the Leibniz rule gives
+
+    d(r) = sum_k alpha_k(r) X_k,    alpha_k the phi^k-twisted derivation
+                                    of K[h] with alpha_k(h) = p_k,
+
+for every candidate, verified or not (see `TwistedPolyDerivation`).
+
 The central constructor `build_derivation` assembles a derivation from a
 family of twisted derivations alpha_i of K[h] indexed by integer weights,
 plus two polynomials b, c.  The weight-i piece sends K[h] into K[h]*x^i
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Any, Callable
 
 from . import linalg
 from .gwa import GwaAlgebra, GwaElement, Grading, graded_degree, sigma_mu, symmetric_algebra
@@ -72,11 +82,11 @@ class TwistedPolyDerivation:
     on_h: Poly
 
     def apply(self, p: Poly, A: GwaAlgebra) -> Poly:
-        tau_h = A.phi.power(self.twist_exp).h_image()
-        if tau_h == Poly.h():
+        tau = A.phi.power(self.twist_exp)
+        if tau.is_identity():
             return self.on_h * p.derivative()
-        num = A.phi.apply(p, self.twist_exp) - p
-        return self.on_h * num.exact_div(tau_h - Poly.h())
+        tau_h = tau.h_image()
+        return self.on_h * (p.compose(tau_h) - p).exact_div(tau_h - Poly.h())
 
     def twist_condition_ok(self, A: GwaAlgebra, mu: Fraction) -> bool:
         """alpha(phi(h)) = mu * phi(alpha(h)) -- checking at h suffices."""
@@ -127,18 +137,15 @@ class SkewDerivation:
     # -- evaluation -----------------------------------------------------
 
     def _on_poly(self, p: Poly) -> GwaElement:
-        """Value on an element of K[h], folded from d(h) by the Leibniz rule."""
+        """Value on an element of K[h]: sum_k alpha_k(p) X_k, where alpha_k is
+        the phi^k-twisted derivation with alpha_k(h) the degree-k coefficient
+        of d(h)."""
         A = self.algebra
-        out = A.zero()
-        power_val = A.zero()  # d(h^i), starting at i = 0
-        h = A.h()
-        for i, c in enumerate(p.coeffs):
-            if i > 0:
-                # d(h^i) = d(h) h^{i-1} + h d(h^{i-1}); sigma fixes K[h]
-                power_val = self.on_h * h_pow(A, i - 1) + h * power_val
-            if c != 0:
-                out = out + c * power_val
-        return out
+        if p.is_constant():  # every alpha_k kills K
+            return A.zero()
+        return A.element(
+            {k: TwistedPolyDerivation(k, c).apply(p, A) for k, c in self.on_h.terms.items()}
+        )
 
     def _on_gen_power(self, k: int) -> GwaElement:
         """Value on x^k (k > 0) or y^{-k} (k < 0)."""
@@ -166,10 +173,6 @@ class SkewDerivation:
         return out
 
     __call__ = evaluate
-
-
-def h_pow(A: GwaAlgebra, i: int) -> GwaElement:
-    return A.from_poly(Poly.monomial(1, i))
 
 
 # -- relation checking --------------------------------------------------
@@ -371,6 +374,20 @@ def _scalar_ratio(num: GwaElement, den: GwaElement) -> Fraction | None:
     return ratio if all(n[k] == ratio * c for k, c in d.items()) else None
 
 
+def _common_value(d: SkewDerivation, measure: Callable[[str, GwaElement], Any], default):
+    """The one value of measure(g, d(g)) over the generators g = "h", "x", "y"
+    with d(g) != 0, or default when d vanishes on all three; None when a
+    measure is None or two measures differ."""
+    found = {
+        measure(g, val)
+        for g, val in (("h", d.on_h), ("x", d.on_x), ("y", d.on_y))
+        if not val.is_zero()
+    }
+    if None in found or len(found) > 1:
+        return None
+    return found.pop() if found else default
+
+
 def q_check(d: SkewDerivation) -> QCheckResult:
     """Decide whether sigma_mu o d o sigma_mu^{-1} = Q d for a scalar Q.
 
@@ -383,19 +400,8 @@ def q_check(d: SkewDerivation) -> QCheckResult:
         "x": mu * sigma_mu(d.on_x, mu),
         "y": (1 / mu) * sigma_mu(d.on_y, mu),
     }
-    values = {"h": d.on_h, "x": d.on_x, "y": d.on_y}
-    Q = None
-    for g, val in values.items():
-        if val.is_zero():
-            continue
-        r = _scalar_ratio(conjugated[g], val)
-        if r is None:
-            return QCheckResult(False)
-        if Q is None:
-            Q = r
-        elif Q != r:
-            return QCheckResult(False)
-    return QCheckResult(True, Q if Q is not None else Fraction(1))
+    Q = _common_value(d, lambda g, val: _scalar_ratio(conjugated[g], val), Fraction(1))
+    return QCheckResult(False) if Q is None else QCheckResult(True, Q)
 
 
 # -- classification of one-sided derivations ------------------------------
@@ -437,20 +443,12 @@ def degree_profile(d: SkewDerivation, G: Grading) -> int | None:
     Zero values leave the shift unconstrained; the zero derivation reports 0.
     """
     gen_degrees = {"h": G.w, "x": G.k, "y": G.d - G.k}
-    values = {"h": d.on_h, "x": d.on_x, "y": d.on_y}
-    shift = None
-    for g, val in values.items():
-        if val.is_zero():
-            continue
+
+    def shift(g: str, val: GwaElement) -> int | None:
         deg = graded_degree(G, val)
-        if deg is None:
-            return None
-        s = deg - gen_degrees[g]
-        if shift is None:
-            shift = s
-        elif shift != s:
-            return None
-    return shift if shift is not None else 0
+        return None if deg is None else deg - gen_degrees[g]
+
+    return _common_value(d, shift, 0)
 
 
 # -- finite-order automorphisms -------------------------------------------

@@ -181,77 +181,71 @@ def _row_triples(
         e = landing_power(designated)
         if e is None:
             raise CertificateError("row derivation kills its own designated generator")
-        value = row_value(designated)
-        left = (flank_elem(e) * value).poly_part()
-        right = (value * flank_elem(e)).poly_part()
-        witness = _coprime_witness(left, right)
-        return [
-            (flank_elem(e, witness.s), designated, A.one()),
-            (A.from_poly(witness.t), designated, flank_elem(e)),
-        ]
-
-    # Paired route: some companion keeps the designated generator alive, so
-    # the row combination must mix both generator values, with the flank
-    # coefficients tuned to cancel on the companion.
-    if len(companions) != 1:
-        raise CertificateError("combined cancellation only supports pairs")
-    comp = companions[0]
-    if comp.mu != row_d.mu:
-        raise CertificateError(
-            "combined cancellation requires matching coarseness in the pair"
-        )
-
-    def companion_data(g: GwaElement) -> tuple[Poly, int]:
-        """Coefficient and flank-side power of the companion value on g."""
-        value = comp.on_x if g == gen_x else comp.on_y
-        term = _single_term_or_zero(value)
-        if term is None:
-            return Poly.zero(), 0
-        deg, p = term
-        if deg * side > 0:
-            raise CertificateError("companion value lies on the wrong side")
-        return p, abs(deg)
-
-    e1 = landing_power(other)
-    e2 = landing_power(designated)
-    if e1 is not None and e2 is not None and e1 != e2 + 2:
-        raise CertificateError("row powers are not aligned for cancellation")
-    q1, m1 = companion_data(other)
-    q2, m2 = companion_data(designated)
-    if not q1.is_zero() and not q2.is_zero() and m2 != m1 + 2:
-        raise CertificateError("companion powers are not aligned for cancellation")
-    if e1 is None and e2 is None:
-        raise CertificateError("row derivation vanishes on both generators")
-    if e1 is None:
-        e1 = e2 + 2
-    if e2 is None:
-        e2 = e1 - 2
-    if e2 < 0:
-        raise CertificateError("designated-generator value has too small a degree")
-    # q2 != 0 here: a vanishing companion value on the designated generator
-    # would have taken the pure route.
-    if q1.is_zero():
-        left_coeffs = (Poly.one(), Poly.zero())
-        right_data = ((Poly.one(), Poly.one()), (Poly.zero(), Poly.one()))
+        left_triples = [(flank_elem(e), designated, A.one())]
+        right_triples = [(A.one(), designated, flank_elem(e))]
     else:
-        left_coeffs = (
-            A.phi.apply(q2, -side * e2),
-            -A.phi.apply(q1, -side * e1),
-        )
-        common = extended_gcd(q1, q2).g
-        q1_red, q2_red = q1.exact_div(common), q2.exact_div(common)
-        right_data = (
-            (q2_red, Poly.one()),
-            (-Poly.one(), A.phi.apply(q1_red, side * m2)),
-        )
-    left_triples = [
-        (flank_elem(e1, left_coeffs[0]), other, A.one()),
-        (flank_elem(e2, left_coeffs[1]), designated, A.one()),
-    ]
-    right_triples = [
-        (A.from_poly(right_data[0][0]), other, flank_elem(e1, right_data[0][1])),
-        (A.from_poly(right_data[1][0]), designated, flank_elem(e2, right_data[1][1])),
-    ]
+        # Paired route: some companion keeps the designated generator alive, so
+        # the row combination must mix both generator values, with the flank
+        # coefficients tuned to cancel on the companion.
+        if len(companions) != 1:
+            raise CertificateError("combined cancellation only supports pairs")
+        comp = companions[0]
+        if comp.mu != row_d.mu:
+            raise CertificateError(
+                "combined cancellation requires matching coarseness in the pair"
+            )
+
+        def companion_data(g: GwaElement) -> tuple[Poly, int]:
+            """Coefficient and flank-side power of the companion value on g."""
+            value = comp.on_x if g == gen_x else comp.on_y
+            term = _single_term_or_zero(value)
+            if term is None:
+                return Poly.zero(), 0
+            deg, p = term
+            if deg * side > 0:
+                raise CertificateError("companion value lies on the wrong side")
+            return p, abs(deg)
+
+        e1 = landing_power(other)
+        e2 = landing_power(designated)
+        if e1 is not None and e2 is not None and e1 != e2 + 2:
+            raise CertificateError("row powers are not aligned for cancellation")
+        q1, m1 = companion_data(other)
+        q2, m2 = companion_data(designated)
+        if not q1.is_zero() and not q2.is_zero() and m2 != m1 + 2:
+            raise CertificateError("companion powers are not aligned for cancellation")
+        if e1 is None and e2 is None:
+            raise CertificateError("row derivation vanishes on both generators")
+        if e1 is None:
+            e1 = e2 + 2
+        if e2 is None:
+            e2 = e1 - 2
+        if e2 < 0:
+            raise CertificateError("designated-generator value has too small a degree")
+        # q2 != 0 here: a vanishing companion value on the designated generator
+        # would have taken the pure route.
+        if q1.is_zero():
+            left_coeffs = (Poly.one(), Poly.zero())
+            right_data = ((Poly.one(), Poly.one()), (Poly.zero(), Poly.one()))
+        else:
+            left_coeffs = (
+                A.phi.apply(q2, -side * e2),
+                -A.phi.apply(q1, -side * e1),
+            )
+            common = extended_gcd(q1, q2).g
+            q1_red, q2_red = q1.exact_div(common), q2.exact_div(common)
+            right_data = (
+                (q2_red, Poly.one()),
+                (-Poly.one(), A.phi.apply(q1_red, side * m2)),
+            )
+        left_triples = [
+            (flank_elem(e1, left_coeffs[0]), other, A.one()),
+            (flank_elem(e2, left_coeffs[1]), designated, A.one()),
+        ]
+        right_triples = [
+            (A.from_poly(right_data[0][0]), other, flank_elem(e1, right_data[0][1])),
+            (A.from_poly(right_data[1][0]), designated, flank_elem(e2, right_data[1][1])),
+        ]
 
     def landed(triples) -> Poly:
         total = A.zero()
@@ -264,10 +258,8 @@ def _row_triples(
     if left_poly.is_zero() or right_poly.is_zero():
         raise CertificateError("row combination degenerates to zero")
     bez = _coprime_witness(left_poly, right_poly)
-    scale = lambda s, triples: [
-        (A.from_poly(s) * a, g, c) for a, g, c in triples if not (A.from_poly(s) * a).is_zero()
-    ]
-    return scale(bez.s, left_triples) + scale(bez.t, right_triples)
+    scale = lambda s, triples: [(A.from_poly(s) * a, g, c) for a, g, c in triples]
+    return [t for t in scale(bez.s, left_triples) + scale(bez.t, right_triples) if t[0]]
 
 
 def certificate_from_ideal(

@@ -101,9 +101,12 @@ def algebra_from_json(doc) -> GwaAlgebra:
     if "a" not in doc or "phi" not in doc:
         raise SchemaError("custom algebras need both a and phi")
     try:
-        return GwaAlgebra(poly_from_json(doc["a"]), auto_from_json(doc["phi"]))
+        A = GwaAlgebra(poly_from_json(doc["a"]), auto_from_json(doc["phi"]))
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+    if "q" in doc and rat_from_json(doc["q"]) != A.q:
+        raise SchemaError("field q contradicts phi")
+    return A
 
 
 # -- elements -------------------------------------------------------------------

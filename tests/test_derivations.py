@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_element, random_fraction, random_weight_data, rng_for
+from conftest import random_element, random_fraction, random_poly, random_weight_data, rng_for
 from gwa_skew import (
     ClassificationError,
     DerivationError,
@@ -105,6 +105,45 @@ def test_evaluate_on_h_matches_direct_value():
     # h = 1 - yx on the disc: the two routes agree
     manual = -(d.on_y * sigma_mu(DISC2.x(), F(2)) + DISC2.y() * d.on_x)
     assert manual.is_zero()
+
+
+def leibniz_fold(d: SkewDerivation, p: Poly):
+    """Oracle for d on K[h]: d(h^i) = d(h) h^{i-1} + h d(h^{i-1}), summed over p."""
+    A = d.algebra
+    out, power_val = A.zero(), A.zero()  # power_val = d(h^i), from i = 0
+    for i, c in enumerate(p.coeffs):
+        if i > 0:
+            power_val = d.on_h * A.from_poly(Poly.monomial(1, i - 1)) + A.h() * power_val
+        out = out + c * power_val
+    return out
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        DISC2,
+        GwaAlgebra.plane(F(-3, 2)),
+        GwaAlgebra(Poly([1, 0, 1]), AffineAuto(1, 1)),  # shift
+        GwaAlgebra(Poly([2, 1]), AffineAuto(-1, 1)),  # order 2
+        GwaAlgebra(Poly([0, 1, 1]), AffineAuto(-1)),  # order 2, scaling
+        GwaAlgebra(Poly([1, -1, 2]), AffineAuto(F(2, 3), 1)),  # scaling and shift
+    ],
+    ids=["disc", "plane", "shift", "order-2", "order-2-scaling", "affine"],
+)
+def test_on_poly_matches_leibniz_fold(A):
+    rng = rng_for(f"on-poly:{A!r}")
+    unverified = 0
+    for _ in range(40):
+        weights = rng.sample(range(-3, 4), rng.randint(2, 4))
+        on_h = A.element({k: random_poly(rng, 2, nonzero=True) for k in weights})
+        mu = random_fraction(rng, nonzero=True)
+        on_x, on_y = random_element(rng, A), random_element(rng, A)
+        d = SkewDerivation(A, mu, on_h, on_x, on_y)
+        unverified += not check_relations(A, mu, on_h, on_x, on_y).ok
+        for _ in range(3):
+            p = random_poly(rng, 5)
+            assert d._on_poly(p) == leibniz_fold(d, p)
+    assert unverified > 30
 
 
 def test_evaluate_zero_derivation():

@@ -177,12 +177,12 @@ def test_classify_sigma_q_zero():
 
 
 def test_classify_sigma_q_rejects_broken_constraint():
-    # d(x) = x but d(y) = +2y breaks the forced coefficient at (1, 0)
-    cand = SkewDerivation(
-        DISC2, F(2), DISC2.zero(), DISC2.x(), DISC2.monomial(-1, Poly([2]))
-    )
-    with pytest.raises(ClassificationError, match="y"):
-        classify_sigma_q(cand, DISC2)
+    # d(x) = x forces d(y) = -2y: +2y is off the forced coefficient at (1, 0),
+    # and d(y) = 0 misses it
+    for on_y in (DISC2.monomial(-1, Poly([2])), DISC2.zero()):
+        cand = SkewDerivation(DISC2, F(2), DISC2.zero(), DISC2.x(), on_y)
+        with pytest.raises(ClassificationError, match="y"):
+            classify_sigma_q(cand, DISC2)
 
 
 def test_classify_sigma_q_needs_coarseness_q():

@@ -52,6 +52,16 @@ def test_algebra_round_trip(A):
     assert round_trip(ser.algebra_to_json, ser.algebra_from_json, A) == A
 
 
+@pytest.mark.parametrize(
+    "phi, q", [({"u": "2"}, "3"), ({"u": "2", "v": "1"}, "2")], ids=["other-q", "shift"]
+)
+def test_custom_algebra_rejects_a_q_contradicting_phi(phi, q):
+    # the presets reject a contradicting a or phi; a custom q is checked the same way
+    doc = {"label": "custom", "a": ["1", "1"], "phi": phi, "q": q}
+    with pytest.raises(ser.SchemaError, match="q contradicts phi"):
+        ser.algebra_from_json(doc)
+
+
 @pytest.mark.parametrize("A", ALGEBRAS, ids=ALGEBRA_IDS)
 def test_element_round_trip(A, rng):
     for _ in range(30):

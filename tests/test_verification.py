@@ -24,6 +24,38 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+ENTRY_POINTS = {("cli.py", "main")}  # called from outside the package
+
+
+def test_every_library_function_is_referenced():
+    # a module-level function nothing else names is a dead copy
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for path in [*SOURCE.glob("*.py"), *Path(__file__).parent.glob("*.py")]
+    }
+    names = [
+        (path.name, node.name)
+        for path, tree in trees.items()
+        if path.parent == SOURCE
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    assert names
+    fields = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    used = {
+        getattr(node, fields[type(node)])
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if type(node) in fields
+    }
+    unused = [
+        f"{module}:{name}"
+        for module, name in names
+        if name not in used and (module, name) not in ENTRY_POINTS
+    ]
+    assert unused == []
+
+
 def test_extended_gcd_raises_on_failed_witness(monkeypatch):
     monkeypatch.setattr(BezoutWitness, "check", lambda self: False)
     with pytest.raises(ArithmeticError):
