@@ -86,7 +86,7 @@ class TwistedPolyDerivation:
         if tau.is_identity():
             return self.on_h * p.derivative()
         tau_h = tau.h_image()
-        return self.on_h * (p.compose(tau_h) - p).exact_div(tau_h - Poly.h())
+        return self.on_h * (A.phi.apply(p, self.twist_exp) - p).exact_div(tau_h - Poly.h())
 
     def twist_condition_ok(self, A: GwaAlgebra, mu: Fraction) -> bool:
         """alpha(phi(h)) = mu * phi(alpha(h)) -- checking at h suffices."""

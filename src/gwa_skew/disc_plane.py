@@ -173,29 +173,38 @@ class SigmaQData:
         return not self.alpha and not self.f and not self.g
 
 
-def build_sigma_q(data: SigmaQData, A: GwaAlgebra) -> SkewDerivation:
-    """The coarseness-q derivation with the given free parameters.
+def _sigma_q_values(data: SigmaQData, A: GwaAlgebra, q: Fraction) -> tuple[GwaElement, GwaElement]:
+    """The values on x and y of the coarseness-q derivation with the given
+    free parameters, unverified:
 
         d(x) = g(y) + sum alpha_{m,n} y^m x^n
         d(y) = f(x) - q sum ([n+1]_q / [m]_q) alpha_{m-1,n+1} y^m x^n
     """
-    q = _require_disc_or_plane(A)
     on_x = A.element({-j: Poly.const(c) for j, c in enumerate(data.g)})
     on_y = A.element({i: Poly.const(c) for i, c in enumerate(data.f)})
     for (m, n), c in data.alpha.items():
         on_x = on_x + c * yx_monomial(A, m, n)
         beta = -q * (q_int(n, q) / q_int(m + 1, q)) * c
         on_y = on_y + beta * yx_monomial(A, m + 1, n - 1)
-    return derivation_from_xy(A, q, on_x, on_y)
+    return on_x, on_y
+
+
+def build_sigma_q(data: SigmaQData, A: GwaAlgebra) -> SkewDerivation:
+    """The coarseness-q derivation with the given free parameters, with d(h)
+    forced by d(a) and the result checked against the defining relations."""
+    q = _require_disc_or_plane(A)
+    return derivation_from_xy(A, q, *_sigma_q_values(data, A, q))
 
 
 def classify_sigma_q(d: SkewDerivation, A: GwaAlgebra) -> SigmaQData:
     """Read the free parameters back off a coarseness-q derivation.
 
-    alpha and g are read off d(x) and f off the pure-x part of d(y); the
-    data is then rebuilt with `build_sigma_q`, and a d(y) that differs from
-    the rebuilt one (a y-side coefficient off the built-in constraint) is
-    reported whole.  A successful return is a certified round trip.
+    alpha and g are read off d(x) and f off the pure-x part of d(y), so the
+    rebuilt d(x) equals d(x) by construction; a d(y) that differs from the
+    rebuilt one (a y-side coefficient off the built-in constraint) is
+    reported whole.  When the values agree, a verified d certifies the
+    rebuild, so the relations are checked again only for an unverified d.
+    A successful return is a certified round trip.
     """
     q = _require_disc_or_plane(A)
     if d.mu != q:
@@ -206,11 +215,11 @@ def classify_sigma_q(d: SkewDerivation, A: GwaAlgebra) -> SigmaQData:
     f = {n: c for (m, n), c in to_monomial_basis(d.on_y, A).items() if m == 0}
     to_seq = lambda d_: tuple(d_.get(i, Fraction(0)) for i in range(max(d_, default=-1) + 1))
     data = SigmaQData(alpha, to_seq(f), to_seq(g))
-    rebuilt = build_sigma_q(data, A)
-    if rebuilt.on_y != d.on_y:
-        raise ClassificationError(
-            f"d(y) = {d.on_y} differs from reconstruction {rebuilt.on_y}"
-        )
+    on_x, on_y = _sigma_q_values(data, A, q)
+    if on_y != d.on_y:
+        raise ClassificationError(f"d(y) = {d.on_y} differs from reconstruction {on_y}")
+    if not d.verified:
+        derivation_from_xy(A, q, on_x, on_y)
     return data
 
 

@@ -1,17 +1,25 @@
 """Exact univariate polynomial arithmetic over the rationals.
 
-The base ring everywhere is K[h] with K the rational field.  Coefficients
-are `fractions.Fraction` values, so every operation here (and everything
-built on top) is exact: equalities asserted elsewhere are structural,
-never approximate.
+The base ring everywhere is K[h] with K the rational field.  A `Poly` is
+stored as FLINT's fmpq_poly stores it: a tuple `num` of integer numerators
+and one positive integer `den`, coefficient i being num[i] / den.  The form
+is canonical -- no trailing zero numerator, and gcd(den, *num) == 1 (the
+zero polynomial is ((), 1)) -- so equality and hashing compare (num, den)
+and are structural, never approximate.  Ring operations run on the
+integers and normalize the content once per result.  `coeffs` is a derived
+view: the coefficients as `fractions.Fraction` values, built on first use
+and cached.
 
 Besides `Poly`, this module provides the affine automorphisms of K[h]
-(h -> u*h + v with u != 0 -- these are all automorphisms of K[h]) and the
-extended Euclidean algorithm producing verifiable Bezout witnesses.
+(h -> u*h + v with u != 0 -- these are all automorphisms of K[h]), whose
+powers have a closed form and act on a polynomial by an integer Taylor
+shift and a scaling of coefficients, and the extended Euclidean algorithm
+producing verifiable Bezout witnesses.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -32,30 +40,56 @@ def is_root_of_unity(q: Fraction) -> bool:
     return q == 1 or q == -1
 
 
-class Poly:
-    """Dense polynomial in h; index i of `coeffs` is the coefficient of h^i.
+def _poly(num: list[int], den: int) -> "Poly":
+    """The canonical Poly with coefficients num[i] / den, for den > 0."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    p = object.__new__(Poly)
+    p.num, p.den, p._coeffs = tuple(num), den, None
+    return p
 
-    Trailing zero coefficients are stripped on construction, so equality is
-    plain structural equality and the zero polynomial has an empty tuple.
+
+class Poly:
+    """Polynomial in h with rational coefficients, as integer numerators
+    over one common denominator.
+
+    `num[i] / den` is the coefficient of h^i.  Every instance is canonical:
+    `den > 0`, `num` has no trailing zero and `gcd(den, *num) == 1`, so two
+    polynomials are equal exactly when their (num, den) pairs are, and the
+    zero polynomial is `((), 1)`.  `coeffs` is the derived tuple of
+    `Fraction` coefficients, built once on first use.  Instances are
+    immutable after construction.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den", "_coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # Lowest-terms fractions over the lcm of their denominators share
+        # no factor with it, so this is already canonical.
+        den = math.lcm(*(c.denominator for c in cs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den = den
+        self._coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return _poly([], 1)
 
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return _poly([1], 1)
 
     @staticmethod
     def const(c: Scalar) -> "Poly":
@@ -63,7 +97,7 @@ class Poly:
 
     @staticmethod
     def h() -> "Poly":
-        return Poly([0, 1])
+        return _poly([0, 1], 1)
 
     @staticmethod
     def monomial(c: Scalar, k: int) -> "Poly":
@@ -71,90 +105,113 @@ class Poly:
 
     # -- structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions; index i is the coefficient of h^i."""
+        if self._coeffs is None:
+            den = self.den
+            if den == 1:
+                self._coeffs = tuple(Fraction(c) for c in self.num)
+            else:
+                self._coeffs = tuple(Fraction(c, den) for c in self.num)
+        return self._coeffs
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def degree(self):
         """Degree, with the zero polynomial mapped to -infinity."""
-        return len(self.coeffs) - 1 if self.coeffs else MINUS_INFINITY
+        return len(self.num) - 1 if self.num else MINUS_INFINITY
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.num[-1], self.den)
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.num) <= 1
 
     # -- ring operations ----------------------------------------------
+
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other, over the lcm of the two denominators."""
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        a = [c * sa for c in self.num] if sa != 1 else self.num
+        b = [c * sb for c in other.num] if sb != 1 else other.num
+        if len(a) > len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(b[len(a):])
+        return _poly(out, da * sa)
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) + other.coeff(i) for i in range(n))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(i) - other.coeff(i) for i in range(n))
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return _poly([-c for c in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly(c * other for c in self.coeffs)
+            c = _frac(other)
+            return _poly([x * c.numerator for x in self.num], self.den * c.denominator)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        a, b = self.num, other.num
+        if not a or not b:
+            return _poly([], 1)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return _poly(out, self.den * other.den)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.__mul__(other)
         return NotImplemented
 
-    def compose(self, inner: "Poly") -> "Poly":
-        """Evaluate self at another polynomial (Horner)."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly.const(c)
-        return out
-
     def derivative(self) -> "Poly":
-        return Poly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _poly([i * c for i, c in enumerate(self.num)][1:], self.den)
 
     def divrem(self, d: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact long division: self = q*d + r with deg r < deg d."""
+        """Exact long division: self = q*d + r with deg r < deg d.
+
+        Runs on the numerators with one running integer denominator D:
+        num(self) = (quot * num(d) + rem) / D throughout, each step scaling
+        by the part of lc(d) that the eliminated coefficient lacks.
+        """
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        q = [Fraction(0)] * max(len(self.coeffs) - len(d.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        dlc = d.leading()
-        dd = len(d.coeffs) - 1
-        while len(rem) - 1 >= dd and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dd:
-                break
-            shift = len(rem) - 1 - dd
-            factor = rem[-1] / dlc
-            q[shift] = factor
-            for i, c in enumerate(d.coeffs):
+        dn = d.num
+        dd, lead = len(dn) - 1, dn[-1]
+        rem = list(self.num)
+        quot = [0] * max(len(rem) - dd, 0)
+        D = 1
+        for shift in range(len(quot) - 1, -1, -1):
+            top = rem[shift + dd]
+            if not top:
+                continue
+            g = math.gcd(top, lead) if lead > 0 else -math.gcd(top, lead)
+            scale, factor = lead // g, top // g
+            if scale != 1:
+                rem = [c * scale for c in rem]
+                quot = [c * scale for c in quot]
+                D *= scale
+            quot[shift] = factor
+            for i, c in enumerate(dn):
                 rem[shift + i] -= factor * c
-        return Poly(q), Poly(rem)
+        den = D * self.den
+        return _poly([c * d.den for c in quot], den), _poly(rem[:dd], den)
 
     def exact_div(self, d: "Poly") -> "Poly":
         q, r = self.divrem(d)
@@ -171,10 +228,10 @@ class Poly:
     # -- misc -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -228,25 +285,63 @@ class AffineAuto:
     def h_image(self) -> Poly:
         return Poly([self.v, self.u])
 
-    def compose(self, other: "AffineAuto") -> "AffineAuto":
-        """self after other: h -> self(other(h))."""
-        return AffineAuto(self.u * other.u, self.u * other.v + self.v)
-
     def inverse(self) -> "AffineAuto":
         return AffineAuto(1 / self.u, -self.v / self.u)
 
     def power(self, k: int) -> "AffineAuto":
-        base = self if k >= 0 else self.inverse()
-        out = AffineAuto.identity()
-        for _ in range(abs(k)):
-            out = base.compose(out)
-        return out
+        """phi^k, for any integer k: h -> u^k h + v (u^k - 1)/(u - 1),
+        or h -> h + k v when u = 1."""
+        if k == 1:
+            return self
+        u, v = self.u, self.v
+        if u == 1:
+            return AffineAuto(1, k * v)
+        uk = u**k
+        return AffineAuto(uk, v * (uk - 1) / (u - 1))
 
     def apply(self, p: Poly, k: int = 1) -> Poly:
-        """p(phi^k(h)), for any integer k."""
+        """p(phi^k(h)), for any integer k.
+
+        With phi^k(h) = (a/b) h + c/e, the numerators N_i of p become
+        N_i e^{n-i}, are Taylor-shifted by the integer c, and coefficient i
+        is then scaled by (ae)^i b^{n-i}, all over den * e^n * b^n
+        (n = deg p): O(n^2) integer work for a shift, O(n) for a scaling.
+        """
         if k == 0 or p.is_constant():
             return p
-        return p.compose(self.power(k).h_image())
+        num, den, n = list(p.num), p.den, len(p.num) - 1
+        if self.v:
+            tau = self.power(k)
+            a, b = tau.u.numerator, tau.u.denominator
+            c, e = tau.v.numerator, tau.v.denominator
+            if e != 1:
+                scale = 1
+                for i in range(n, -1, -1):
+                    num[i] *= scale
+                    scale *= e
+                a *= e
+                den *= e**n
+            for i in range(n if c else 0):
+                for j in range(n - 1, i - 1, -1):
+                    num[j] += c * num[j + 1]
+        else:  # u^k, without building the automorphism phi^k
+            a, b = self.u.numerator, self.u.denominator
+            if k < 0:
+                a, b, k = (b, a, -k) if a > 0 else (-b, -a, -k)
+            a, b = a**k, b**k
+        if b == 1:
+            scale = a
+            for i in range(1, n + 1):
+                num[i] *= scale
+                scale *= a
+        else:
+            up, down = 1, b**n
+            for i in range(n + 1):
+                num[i] *= up * down
+                up *= a
+                down //= b
+            den *= b**n
+        return _poly(num, den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffineAuto) and (self.u, self.v) == (other.u, other.v)

@@ -171,6 +171,24 @@ def test_classify_sigma_q_round_trip(rng):
             assert classify_sigma_q(build_sigma_q(data, A), A) == data
 
 
+def test_classify_sigma_q_verifies_only_unverified_input(monkeypatch):
+    # a verified d whose values match the rebuild certifies it: no second
+    # relation check; an unverified one still has its rebuild checked
+    from gwa_skew import derivations
+
+    calls = []
+    original = derivations.check_relations
+    monkeypatch.setattr(derivations, "check_relations", lambda *a: calls.append(1) or original(*a))
+    data = SigmaQData({(0, 1): F(1), (1, 2): F(-3, 2)}, f=(F(2),), g=(F(0), F(1)))
+    d = build_sigma_q(data, DISC2)
+    assert d.verified and len(calls) == 1
+    assert classify_sigma_q(d, DISC2) == data
+    assert len(calls) == 1
+    unverified = SkewDerivation(DISC2, d.mu, d.on_h, d.on_x, d.on_y, verified=False)
+    assert classify_sigma_q(unverified, DISC2) == data
+    assert len(calls) == 2
+
+
 def test_classify_sigma_q_zero():
     data = classify_sigma_q(SkewDerivation.zero(DISC2, F(2)), DISC2)
     assert data.is_zero() and data.M == 0 and data.N == 0

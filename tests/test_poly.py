@@ -1,8 +1,11 @@
 """Exact polynomial arithmetic, affine automorphisms, and Bezout witnesses."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -149,3 +152,151 @@ def test_is_root_of_unity(q, expected):
 def test_is_root_of_unity_rejects_zero():
     with pytest.raises(ValueError):
         is_root_of_unity(Fraction(0))
+
+
+# -- sympy differential test ------------------------------------------------------
+
+H = sympy.Symbol("h")
+
+
+def to_sympy(p: Poly) -> sympy.Poly:
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    return sympy.Poly(coeffs or [0], H, domain=sympy.QQ)
+
+
+def from_sympy(sp: sympy.Poly) -> Poly:
+    return Poly(Fraction(int(c.p), int(c.q)) for c in reversed(sp.all_coeffs()))
+
+
+def random_rational(rng: random.Random) -> Fraction:
+    if rng.random() < 0.15:
+        return Fraction(0)
+    bound = rng.choice((3, 50, 10**12))
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, rng.choice((1, 6, 10**6))))
+
+
+def random_poly(rng: random.Random) -> Poly:
+    """Lengths 0-45, so products of short and of long factors are both
+    exercised."""
+    length = rng.choice((0, 1, 2, 3, 5, 8, 13, 21, 34, 45))
+    return Poly(random_rational(rng) for _ in range(length))
+
+
+def assert_canonical(p: Poly) -> None:
+    assert p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert p.coeffs == tuple(Fraction(c, p.den) for c in p.num)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ring_operations_match_sympy(seed):
+    rng = random.Random(f"gwa-skew:poly:{seed}")
+    for _ in range(30):
+        p, q = random_poly(rng), random_poly(rng)
+        c = rng.choice((0, 1, -1, 7, random_rational(rng)))
+        sp, sq = to_sympy(p), to_sympy(q)
+        sc = sympy.Rational(c.numerator, c.denominator)
+        results = {
+            "+": (p + q, sp + sq),
+            "-": (p - q, sp - sq),
+            "neg": (-p, -sp),
+            "scalar": (p * c, sp * sc),
+            "rscalar": (c * p, sp * sc),
+            "*": (p * q, sp * sq),
+            "derivative": (p.derivative(), sp.diff(H)),
+        }
+        for name, (ours, theirs) in results.items():
+            assert_canonical(ours)
+            assert ours == from_sympy(theirs), name
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_division_and_gcd_match_sympy(seed):
+    rng = random.Random(f"gwa-skew:poly-div:{seed}")
+    for _ in range(30):
+        p, d = random_poly(rng), random_poly(rng)
+        if d.is_zero():
+            d = Poly([random_rational(rng) or 1, 1])
+        quot, rem = p.divrem(d)
+        squot, srem = to_sympy(p).div(to_sympy(d))
+        assert_canonical(quot)
+        assert_canonical(rem)
+        assert (quot, rem) == (from_sympy(squot), from_sympy(srem))
+        assert (p * d).exact_div(d) == p
+        if not rem.is_zero():
+            with pytest.raises(ValueError):
+                p.exact_div(d)
+        if max(len(p.num), len(d.num)) > 13:
+            continue  # remainder sequences of long random inputs explode
+        w = extended_gcd(p, d)
+        s, t, g = to_sympy(p).gcdex(to_sympy(d))
+        assert (w.s, w.t, w.g) == (from_sympy(s), from_sympy(t), from_sympy(g))
+        for part in (w.g, w.s, w.t):
+            assert_canonical(part)
+
+
+def test_equal_polynomials_built_by_different_routes():
+    rng = random.Random("gwa-skew:poly-routes")
+    for _ in range(40):
+        p, q = random_poly(rng), random_poly(rng)
+        routes = [
+            p,
+            Poly(p.coeffs),
+            Poly(list(p.coeffs) + [0, Fraction(0)]),
+            (p + q) - q,
+            -(-p),
+            p * Fraction(3, 7) * Fraction(7, 3),
+            (p * q + p).exact_div(q + Poly.one()) if q != -Poly.one() else p,
+            from_sympy(to_sympy(p)),
+        ]
+        for r in routes:
+            assert_canonical(r)
+            assert r == p and hash(r) == hash(p)
+    assert Poly.zero() == Poly([0, 0]) == Poly([1]) - Poly([1])
+    assert (Poly.zero().num, Poly.zero().den) == ((), 1)
+    assert hash(Poly([Fraction(1, 2), 1]) * 2) == hash(Poly([1, 2]))
+
+
+# -- closed-form powers of an affine automorphism ------------------------------------
+
+
+def power_by_composition(phi: AffineAuto, k: int) -> tuple[Fraction, Fraction]:
+    """Oracle: (u^k, v_k) of phi^k by |k| compositions of phi or its inverse."""
+    u, v = (phi.u, phi.v) if k >= 0 else (1 / phi.u, -phi.v / phi.u)
+    U, V = Fraction(1), Fraction(0)
+    for _ in range(abs(k)):
+        U, V = u * U, u * V + v
+    return U, V
+
+
+def apply_by_horner(p: Poly, U: Fraction, V: Fraction) -> Poly:
+    """Oracle: p(U h + V) by Horner's rule with Poly products."""
+    inner, out = Poly([V, U]), Poly.zero()
+    for c in reversed(p.coeffs):
+        out = out * inner + Poly.const(c)
+    return out
+
+
+@pytest.mark.parametrize(
+    "u,v",
+    [
+        (1, Fraction(-5, 3)),  # translation
+        (-1, 0),  # order 2
+        (-1, Fraction(1, 2)),  # order 2 with a shift
+        (Fraction(-3, 2), 0),
+        (Fraction(2, 5), Fraction(7, 4)),
+        (3, -2),
+    ],
+)
+def test_power_and_apply_match_repeated_composition(u, v):
+    phi = AffineAuto(u, v)
+    rng = random.Random(f"gwa-skew:auto:{u}:{v}")
+    for k in range(-8, 9):
+        U, V = power_by_composition(phi, k)
+        assert phi.power(k) == AffineAuto(U, V)
+        for _ in range(6):
+            p = Poly(random_rational(rng) for _ in range(rng.choice((0, 1, 2, 4, 9))))
+            image = phi.apply(p, k)
+            assert_canonical(image)
+            assert image == apply_by_horner(p, U, V)
