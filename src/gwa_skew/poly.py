@@ -7,8 +7,8 @@ is canonical -- no trailing zero numerator, and gcd(den, *num) == 1 (the
 zero polynomial is ((), 1)) -- so equality and hashing compare (num, den)
 and are structural, never approximate.  Ring operations run on the
 integers and normalize the content once per result.  `coeffs` is a derived
-view: the coefficients as `fractions.Fraction` values, built on first use
-and cached.
+view: the coefficients as `fractions.Fraction` values, kept from the
+constructor's input or built on first use, and cached.
 
 Besides `Poly`, this module provides the affine automorphisms of K[h]
 (h -> u*h + v with u != 0 -- these are all automorphisms of K[h]), whose
@@ -64,8 +64,8 @@ class Poly:
     `den > 0`, `num` has no trailing zero and `gcd(den, *num) == 1`, so two
     polynomials are equal exactly when their (num, den) pairs are, and the
     zero polynomial is `((), 1)`.  `coeffs` is the derived tuple of
-    `Fraction` coefficients, built once on first use.  Instances are
-    immutable after construction.
+    `Fraction` coefficients, kept from the constructor's input or built once
+    on first use.  Instances are immutable after construction.
     """
 
     __slots__ = ("num", "den", "_coeffs")
@@ -109,11 +109,7 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions; index i is the coefficient of h^i."""
         if self._coeffs is None:
-            den = self.den
-            if den == 1:
-                self._coeffs = tuple(Fraction(c) for c in self.num)
-            else:
-                self._coeffs = tuple(Fraction(c, den) for c in self.num)
+            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
         return self._coeffs
 
     def is_zero(self) -> bool:
@@ -291,8 +287,6 @@ class AffineAuto:
     def power(self, k: int) -> "AffineAuto":
         """phi^k, for any integer k: h -> u^k h + v (u^k - 1)/(u - 1),
         or h -> h + k v when u = 1."""
-        if k == 1:
-            return self
         u, v = self.u, self.v
         if u == 1:
             return AffineAuto(1, k * v)
@@ -324,24 +318,15 @@ class AffineAuto:
             for i in range(n if c else 0):
                 for j in range(n - 1, i - 1, -1):
                     num[j] += c * num[j + 1]
-        else:  # u^k, without building the automorphism phi^k
-            a, b = self.u.numerator, self.u.denominator
-            if k < 0:
-                a, b, k = (b, a, -k) if a > 0 else (-b, -a, -k)
-            a, b = a**k, b**k
-        if b == 1:
-            scale = a
-            for i in range(1, n + 1):
-                num[i] *= scale
-                scale *= a
-        else:
-            up, down = 1, b**n
-            for i in range(n + 1):
-                num[i] *= up * down
-                up *= a
-                down //= b
-            den *= b**n
-        return _poly(num, den)
+        else:  # phi^k(h) = u^k h: a scaling only
+            uk = self.u**k
+            a, b = uk.numerator, uk.denominator
+        up, down = 1, b**n
+        for i in range(n + 1):
+            num[i] *= up * down
+            up *= a
+            down //= b
+        return _poly(num, den * b**n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AffineAuto) and (self.u, self.v) == (other.u, other.v)
