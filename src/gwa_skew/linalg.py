@@ -1,10 +1,23 @@
-"""Exact linear algebra over the rationals (dense Gauss-Jordan elimination).
+"""Exact linear algebra over the rationals, one independent block at a time.
 
-Sizes in this project stay in the low hundreds, so Gauss-Jordan
-elimination over `Fraction` is adequate and keeps results exact.  Callers
-describe a system by sparse coordinate columns, such as
+Callers describe a system by sparse coordinate columns, such as
 `GwaElement.coordinates()`, and turn it into the dense matrix that `rank`,
 `nullspace_dimension` and `solve` take with `assemble`.
+
+Each of the three splits its matrix into the connected components of the
+nonzero pattern, where a row joins every column it touches, and runs
+Gauss-Jordan elimination over `Fraction` on each component alone.  This is
+exact for any matrix: after permuting rows and columns the matrix is block
+diagonal, so its rank is the sum of the block ranks and the system is
+consistent iff every block is and no all-zero row has a nonzero right-hand
+side.  The systems this project builds are graded, so their blocks are
+small even when the whole matrix is not.
+
+`solve` sets every free variable to 0.  Gauss-Jordan makes column c a pivot
+exactly when c is independent of the earlier columns, and on a block
+diagonal matrix that holds iff c is independent of the earlier columns of
+its own block.  So the pivots, and with them the returned vector, are the
+same as one elimination of the whole matrix would give.
 """
 
 from __future__ import annotations
@@ -53,9 +66,44 @@ def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int
     return rows, pivots
 
 
+def _blocks(matrix: list[list[Fraction]]) -> tuple[list[tuple[list[int], list[int]]], list[int]]:
+    """The (rows, columns) of each connected component of the nonzero
+    pattern that has a row, both in ascending order, and the all-zero rows.
+
+    Columns that no row touches belong to no block.
+    """
+    parent = list(range(len(matrix[0]) if matrix else 0))
+
+    def find(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
+    supports = [[c for c, v in enumerate(row) if v] for row in matrix]
+    for support in supports:
+        if support:
+            root = find(support[0])
+            for c in support[1:]:
+                parent[find(c)] = root
+    blocks: dict[int, tuple[list[int], list[int]]] = {}
+    zero_rows = []
+    for i, support in enumerate(supports):
+        if support:
+            blocks.setdefault(find(support[0]), ([], []))[0].append(i)
+        else:
+            zero_rows.append(i)
+    for c in range(len(parent)):
+        root = find(c)
+        if root in blocks:
+            blocks[root][1].append(c)
+    return list(blocks.values()), zero_rows
+
+
 def rank(matrix: list[list[Fraction]]) -> int:
-    _, pivots = _echelon([row[:] for row in matrix])
-    return len(pivots)
+    blocks, _ = _blocks(matrix)
+    return sum(
+        len(_echelon([[matrix[i][c] for c in cols] for i in rows])[1]) for rows, cols in blocks
+    )
 
 
 def nullspace_dimension(matrix: list[list[Fraction]], ncols: int) -> int:
@@ -66,16 +114,14 @@ def nullspace_dimension(matrix: list[list[Fraction]], ncols: int) -> int:
 
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
     """One exact solution of matrix * x = rhs (free variables set to 0), or None."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    aug = [row[:] + [b] for row, b in zip(matrix, rhs)]
-    aug, pivots = _echelon(aug)
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
+    blocks, zero_rows = _blocks(matrix)
+    if any(rhs[i] for i in zero_rows):
         return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][ncols] - sum(
-            aug[r][j] * x[j] for j in range(c + 1, ncols) if aug[r][j] != 0
-        )
+    x = [_ZERO] * (len(matrix[0]) if matrix else 0)
+    for rows, cols in blocks:
+        aug, pivots = _echelon([[matrix[i][c] for c in cols] + [rhs[i]] for i in rows])
+        if pivots[-1] == len(cols):  # pivot in the augmented column: inconsistent
+            return None
+        for r, p in enumerate(pivots):
+            x[cols[p]] = aug[r][-1]
     return x

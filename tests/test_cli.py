@@ -148,6 +148,21 @@ GOLDEN = [
         2,
         '{"error":{"detail":"central element is not homogeneous for w != 0","kind":"schema"}}\n',
     ),
+    (
+        "ortho-verify",
+        DISC2,
+        "{}",
+        2,
+        '{"error":{"detail":"expected a document with a derivations array","kind":"schema"}}\n',
+    ),
+    # appended after the malformed inputs so that earlier case ids keep their index
+    (
+        "classify",
+        ["--mode=sigma-q", *DISC2],
+        SIGMA_Q,
+        0,
+        '{"M":1,"N":2,"alpha":[{"m":0,"n":2,"value":"1"}],"f":["1"],"g":[]}\n',
+    ),
 ]
 
 

@@ -56,9 +56,12 @@ def test_coordinates_rebuild_the_element():
 
 
 def test_algebra_mismatch_rejected():
-    A, B = GwaAlgebra.disc(2), GwaAlgebra.plane(2)
-    with pytest.raises(AlgebraMismatch):
-        A.x() * B.y()
+    # plane(2) differs from disc(2) in a, disc(3) only in phi
+    A = GwaAlgebra.disc(2)
+    for B in (GwaAlgebra.plane(2), GwaAlgebra.disc(3)):
+        assert A != B
+        with pytest.raises(AlgebraMismatch):
+            A.x() * B.y()
 
 
 def test_presets_reject_bad_q():

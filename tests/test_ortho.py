@@ -270,6 +270,12 @@ def test_disc_pair_is_always_verified(rng):
         assert d.verified and dbar.verified
 
 
+@pytest.mark.parametrize("m, n", [(1, 3), (3, 1)])
+def test_disc_pair_rejects_powers_below_two(m, n):
+    with pytest.raises(ValueError, match=r"^disc pairs require m, n > 1$"):
+        disc_pair(m, n, F(1), F(1), F(3))
+
+
 @pytest.mark.parametrize("q", [F(2), F(3), F(1, 2)])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_disc_pair_certificates_verify(n, q):
