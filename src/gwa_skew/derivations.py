@@ -247,7 +247,7 @@ def derivation_from_xy(
     if A.a.degree() != 1:
         raise DerivationError("central element must be linear to infer d(h)")
     d_a = on_y * sigma_mu(A.x(), mu) + A.y() * on_x
-    on_h = (1 / A.a.coeffs[1]) * d_a
+    on_h = (1 / A.a.leading()) * d_a
     return verified_derivation(A, mu, on_h, on_x, on_y)
 
 

@@ -42,10 +42,9 @@ from .poly import Poly
 
 
 def _require_disc_or_plane(A: GwaAlgebra) -> Fraction:
-    q = A.q
-    if A.label not in ("disc", "plane") or q is None:
+    if A.label == "custom":
         raise DerivationError("operation is specific to the disc/plane presets")
-    return q
+    return A.q
 
 
 def q_int(m: int, q: Fraction) -> Fraction:
@@ -153,9 +152,9 @@ class SigmaQData:
             if c != 0:
                 pruned[(m, n)] = Fraction(c)
         object.__setattr__(self, "alpha", pruned)
-        trim = lambda cs: tuple(Poly(cs).coeffs)
-        object.__setattr__(self, "f", trim(self.f))
-        object.__setattr__(self, "g", trim(self.g))
+        for name in ("f", "g"):
+            p = Poly(getattr(self, name))
+            object.__setattr__(self, name, tuple(Fraction(c, p.den) for c in p.num))
 
     @property
     def M(self) -> int:

@@ -33,15 +33,17 @@ class AlgebraMismatch(ValueError):
     """Operands belong to different algebras."""
 
 
+_PRESET_LABELS = {Poly([1, -1]): "disc", Poly([0, 1]): "plane"}
+
+
 class GwaAlgebra:
-    """The data (a, phi) of a generalized Weyl algebra over K[h]."""
+    """The data (a, phi) of a generalized Weyl algebra over K[h]; `label` is derived from it."""
 
-    __slots__ = ("label", "a", "phi")
+    __slots__ = ("a", "phi")
 
-    def __init__(self, a: Poly, phi: AffineAuto, label: str = "custom"):
+    def __init__(self, a: Poly, phi: AffineAuto):
         if a.is_zero():
             raise ValueError("central element a must be nonzero")
-        object.__setattr__(self, "label", label)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "phi", phi)
 
@@ -51,7 +53,7 @@ class GwaAlgebra:
         q = Fraction(q)
         if q == 0 or is_root_of_unity(q):
             raise ValueError("disc requires q not in {0, 1, -1}")
-        return GwaAlgebra(Poly([1, -1]), AffineAuto.scaling(q), "disc")
+        return GwaAlgebra(Poly([1, -1]), AffineAuto.scaling(q))
 
     @staticmethod
     def plane(q: Scalar) -> "GwaAlgebra":
@@ -59,23 +61,24 @@ class GwaAlgebra:
         q = Fraction(q)
         if q == 0 or is_root_of_unity(q):
             raise ValueError("plane requires q not in {0, 1, -1}")
-        return GwaAlgebra(Poly([0, 1]), AffineAuto.scaling(q), "plane")
+        return GwaAlgebra(Poly([0, 1]), AffineAuto.scaling(q))
 
     @property
     def q(self) -> Fraction | None:
         """Scaling factor of phi when phi is h -> q*h, else None."""
         return self.phi.u if self.phi.v == 0 else None
 
+    @property
+    def label(self) -> str:
+        """The preset this data is: "disc" for a = 1 - h, "plane" for a = h, each with
+        phi: h -> q*h and q not in {0, 1, -1}; "custom" otherwise."""
+        return _PRESET_LABELS.get(self.a, "custom") if self.q not in (None, 1, -1) else "custom"
+
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GwaAlgebra)
-            and self.a == other.a
-            and self.phi == other.phi
-            and self.label == other.label
-        )
+        return isinstance(other, GwaAlgebra) and self.a == other.a and self.phi == other.phi
 
     def __hash__(self) -> int:
-        return hash((self.label, self.a, self.phi))
+        return hash((self.a, self.phi))
 
     def __repr__(self) -> str:
         return f"GwaAlgebra({self.label}: a={self.a}, phi(h)={self.phi.h_image()})"
@@ -156,9 +159,8 @@ class GwaElement:
     def coordinates(self) -> dict[tuple[int, int], Fraction]:
         """The nonzero coefficients c of the basis elements h^i X_deg,
         keyed by (deg, i): the coordinate vector of the element over K."""
-        return {
-            (k, i): c for k, p in self.terms.items() for i, c in enumerate(p.coeffs) if c != 0
-        }
+        terms = self.terms.items()
+        return {(k, i): Fraction(c, p.den) for k, p in terms for i, c in enumerate(p.num) if c}
 
     def degrees(self) -> list[int]:
         return sorted(self.terms)
@@ -288,7 +290,7 @@ def make_grading(A: GwaAlgebra, w: int, k: int) -> Grading:
     """Validate that deg h = w grades A and return the induced grading."""
     if w == 0:
         return Grading(0, k, 0)
-    nonzero = [i for i, c in enumerate(A.a.coeffs) if c != 0]
+    nonzero = [i for i, c in enumerate(A.a.num) if c]
     if len(nonzero) != 1:
         raise ValueError("central element is not homogeneous for w != 0")
     if A.phi.v != 0:
@@ -309,7 +311,7 @@ def graded_degree(G: Grading, e: GwaElement) -> int | None:
 
 def symmetric_algebra(A: GwaAlgebra) -> GwaAlgebra:
     """The target algebra of the x-y symmetry: (phi(a), phi^{-1})."""
-    return GwaAlgebra(A.phi.apply(A.a), A.phi.inverse(), "custom")
+    return GwaAlgebra(A.phi.apply(A.a), A.phi.inverse())
 
 
 def xy_symmetry(A: GwaAlgebra, e: GwaElement) -> tuple[GwaAlgebra, GwaElement]:

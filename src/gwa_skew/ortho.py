@@ -92,7 +92,7 @@ def _scalar_of(e: GwaElement) -> Fraction | None:
     if e.is_zero():
         return Fraction(0)
     if set(e.terms) == {0} and e.coeff(0).is_constant():
-        return e.coeff(0).coeffs[0]
+        return e.coeff(0).leading()
     return None
 
 

@@ -7,8 +7,8 @@ is canonical -- no trailing zero numerator, and gcd(den, *num) == 1 (the
 zero polynomial is ((), 1)) -- so equality and hashing compare (num, den)
 and are structural, never approximate.  Ring operations run on the
 integers and normalize the content once per result.  `coeffs` is a derived
-view: the coefficients as `fractions.Fraction` values, kept from the
-constructor's input or built on first use, and cached.
+view, the coefficients as `fractions.Fraction` values, built from
+(num, den) on each read and never cached.
 
 Besides `Poly`, this module provides the affine automorphisms of K[h]
 (h -> u*h + v with u != 0 -- these are all automorphisms of K[h]), whose
@@ -52,7 +52,7 @@ def _poly(num: list[int], den: int) -> "Poly":
             num = [c // g for c in num]
             den //= g
     p = object.__new__(Poly)
-    p.num, p.den, p._coeffs = tuple(num), den, None
+    p.num, p.den = tuple(num), den
     return p
 
 
@@ -63,12 +63,12 @@ class Poly:
     `num[i] / den` is the coefficient of h^i.  Every instance is canonical:
     `den > 0`, `num` has no trailing zero and `gcd(den, *num) == 1`, so two
     polynomials are equal exactly when their (num, den) pairs are, and the
-    zero polynomial is `((), 1)`.  `coeffs` is the derived tuple of
-    `Fraction` coefficients, kept from the constructor's input or built once
-    on first use.  Instances are immutable after construction.
+    zero polynomial is `((), 1)`.  `coeffs` is the tuple of `Fraction`
+    coefficients derived from (num, den) on each read; it is not stored.
+    Instances are immutable after construction.
     """
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [_frac(c) for c in coeffs]
@@ -79,7 +79,6 @@ class Poly:
         den = math.lcm(*(c.denominator for c in cs))
         self.num = tuple(c.numerator * (den // c.denominator) for c in cs)
         self.den = den
-        self._coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
 
@@ -108,9 +107,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions; index i is the coefficient of h^i."""
-        if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self.den) for c in self.num)
-        return self._coeffs
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def is_zero(self) -> bool:
         return not self.num
@@ -236,9 +233,10 @@ class Poly:
         if self.is_zero():
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, n in enumerate(self.num):
+            if not n:
                 continue
+            c = Fraction(n, self.den)
             if i == 0:
                 parts.append(str(c))
             else:

@@ -10,6 +10,7 @@ failures.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .derivations import SkewDerivation, WeightData
@@ -47,7 +48,11 @@ def rat_from_json(doc) -> Fraction:
 
 
 def poly_to_json(p: Poly) -> list[str]:
-    return [rat_to_json(c) for c in p.coeffs]
+    """Each coefficient num[i] / den in lowest terms, as `rat_to_json` formats it."""
+    den = p.den
+    return [
+        str(c // g) if (g := math.gcd(c, den)) == den else f"{c // g}/{den // g}" for c in p.num
+    ]
 
 
 def poly_from_json(doc) -> Poly:

@@ -163,6 +163,22 @@ GOLDEN = [
         0,
         '{"M":1,"N":2,"alpha":[{"m":0,"n":2,"value":"1"}],"f":["1"],"g":[]}\n',
     ),
+    ("lemma52", ["--q=1", "--n=1"], "", 2, '{"error":{"detail":"q must avoid {0, 1, -1}","kind":"schema"}}\n'),
+    # a custom document whose data are disc(2) is disc(2): same bytes as --q=2
+    (
+        "build-sigma-q",
+        ['--algebra-json={"label":"custom","a":["1","-1"],"phi":{"u":"2","v":"0"}}', "--input=-"],
+        '{"alpha":[{"m":0,"n":2,"value":"1"}],"f":["1"]}',
+        0,
+        SIGMA_Q + "\n",
+    ),
+    (
+        "build-sigma-q",
+        ['--algebra-json={"label":"custom","a":["1","0","1"],"phi":{"u":"2","v":"0"}}', "--input=-"],
+        '{"alpha":[{"m":0,"n":2,"value":"1"}],"f":["1"]}',
+        2,
+        '{"error":{"detail":"operation is specific to the disc/plane presets","kind":"invalid-input"}}\n',
+    ),
 ]
 
 

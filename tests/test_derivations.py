@@ -334,6 +334,14 @@ def test_classify_negative_through_symmetry(rng):
 # -- symmetry transport -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("A", [DISC2, GwaAlgebra.plane(F(-3, 2))], ids=["disc", "plane"])
+def test_symmetry_twice_gives_back_the_derivation(A):
+    d = build_derivation(WeightData(A.q, {1: Poly.one()}, c=Poly([1, 1])), A)
+    back = derivation_through_symmetry(derivation_through_symmetry(d))
+    assert back.algebra == A and back.algebra.label == A.label
+    assert back == d
+
+
 def test_negative_weight_transports_to_positive_weight():
     for d_exp in (0, 1, 2):
         q = F(2)

@@ -169,6 +169,16 @@ def test_graded_degree_additive_under_mul():
 # -- x-y symmetry --------------------------------------------------------------
 
 
+def test_algebra_is_its_data():
+    A = GwaAlgebra(Poly([1, -1]), AffineAuto.scaling(2))
+    assert A == GwaAlgebra.disc(2) and hash(A) == hash(GwaAlgebra.disc(2))
+    assert A.label == "disc"
+    assert GwaAlgebra(Poly([0, 1]), AffineAuto.scaling(Fraction(-3, 2))).label == "plane"
+    # phi = -h has order 2, so the same a is no preset
+    assert GwaAlgebra(Poly([1, -1]), AffineAuto.scaling(-1)).label == "custom"
+    assert GwaAlgebra(Poly([1, -1]), AffineAuto(2, 1)).label == "custom"
+
+
 def test_symmetry_on_generators():
     A = GwaAlgebra.disc(2)
     image, ex = xy_symmetry(A, A.x())

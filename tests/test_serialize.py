@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,15 @@ def test_poly_and_auto_round_trip(rng):
         assert round_trip(ser.poly_to_json, ser.poly_from_json, p) == p
         phi = AffineAuto(random_fraction(rng, nonzero=True), random_fraction(rng))
         assert round_trip(ser.auto_to_json, ser.auto_from_json, phi) == phi
+
+
+def test_poly_to_json_formats_each_coefficient_in_lowest_terms(rng):
+    # a round trip cannot see an unreduced "2/4", so compare with Fraction's reduction
+    for _ in range(200):
+        bound = 10 ** rng.choice([1, 3, 30])
+        num = [rng.randint(-bound, bound) for _ in range(rng.randint(0, 6))]
+        p = Poly(num) * Fraction(1, rng.randint(1, bound))
+        assert ser.poly_to_json(p) == [ser.rat_to_json(Fraction(c, p.den)) for c in p.num]
 
 
 @pytest.mark.parametrize("A", ALGEBRAS, ids=ALGEBRA_IDS)
@@ -119,3 +129,39 @@ def test_certificate_round_trip(A, rng):
         )
         cert = OrthoCertificate(rows)
         assert round_trip(ser.certificate_to_json, ser.certificate_from_json, cert, A) == cert
+
+
+Y = {"terms": [{"deg": -1, "poly": ["1"]}]}
+MALFORMED = [
+    (ser.element_from_json, {"terms": [5]}, "bad term entry"),
+    (ser.element_from_json, {"terms": [{"deg": 1}]}, "bad term entry"),
+    (ser.element_from_json, {}, "expected {terms"),
+    (ser.certificate_from_json, {"entries": [5]}, "bad certificate entry"),
+    (ser.certificate_from_json, {"entries": [{"index": 1}]}, "bad certificate entry"),
+    (ser.certificate_from_json, {"entries": [{"index": 0, "pairs": []}]}, "row index 0"),
+    (
+        ser.certificate_from_json,
+        {"entries": [{"index": 1, "pairs": []}, {"index": 1, "pairs": []}]},
+        "row index 1",
+    ),
+    (ser.certificate_from_json, {"entries": [{"index": 1, "pairs": [5]}]}, "bad certificate pair"),
+    (
+        ser.certificate_from_json,
+        {"entries": [{"index": 1, "pairs": [{"a": Y}]}]},
+        "bad certificate pair",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    MALFORMED,
+    ids=[
+        "term-not-object", "term-without-poly", "element-without-terms", "entry-not-object",
+        "entry-without-pairs", "index-zero", "index-duplicate", "pair-not-object", "pair-without-b",
+    ],
+)
+def test_malformed_document_raises_schema_error(parse, doc, message):
+    # each check must fire on its own: one failing condition is enough
+    with pytest.raises(ser.SchemaError, match=re.escape(message)):
+        parse(doc, ALGEBRAS[0])

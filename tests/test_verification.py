@@ -24,6 +24,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_only_poly_reads_the_fraction_view():
+    # the library works on (num, den); `coeffs` is a view for callers outside it
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != "poly.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "coeffs"
+    ]
+    assert found == []
+
+
 ENTRY_POINTS = {("cli.py", "main")}  # called from outside the package
 
 
