@@ -37,6 +37,10 @@ plus two polynomials b, c.  The weight-i piece sends K[h] into K[h]*x^i
 Admissibility of alpha_i demands alpha_i(phi(h)) = mu * phi(alpha_i(h)),
 and at weight 0 the exact divisibility a | alpha_0(a).
 
+When phi has finite order D, `build_finite_order` gives further classes:
+the weighted pieces at weights mD and -nD plus pieces of polynomials b_m
+and c_n in d(x) and d(y).
+
 Note: for the quantum plane a weight-0 piece with alpha_0(h) = h^d, d >= 1,
 is admissible (it divides exactly and passes all relation checks) even
 though it sends h to h^d rather than 0; this library admits any candidate
@@ -51,7 +55,7 @@ from fractions import Fraction
 from typing import Any, Callable
 
 from . import linalg
-from .gwa import GwaAlgebra, GwaElement, Grading, graded_degree, sigma_mu, symmetric_algebra
+from .gwa import GwaAlgebra, GwaElement, Grading, graded_degree, sigma_mu, xy_symmetry
 from .poly import Poly
 
 
@@ -296,8 +300,11 @@ class WeightData:
                 )
 
 
-def build_derivation(data: WeightData, A: GwaAlgebra) -> SkewDerivation:
-    """Assemble the sigma_mu-derivation attached to weighted data.
+def _weighted_values(
+    data: WeightData, A: GwaAlgebra
+) -> tuple[GwaElement, GwaElement, GwaElement]:
+    """The values on h, x, y of the derivation attached to weighted data,
+    validated but not checked against the relations:
 
         d(h) = sum_m alpha_m(h) x^m + sum_n alpha_{-n}(h) y^n
         d(x) = (c - phi(b) + mu^{-1} b) x + sum_n phi(alpha_{-n}(a)) y^{n-1}
@@ -306,7 +313,6 @@ def build_derivation(data: WeightData, A: GwaAlgebra) -> SkewDerivation:
 
     (sums over m >= 1, n >= 1; the inner part b contributes nothing on K[h]
     because the base ring is commutative and sigma acts as the identity).
-    The result is re-checked against the defining relations.
     """
     data.validate(A)
     mu, phi = data.mu, A.phi
@@ -327,8 +333,13 @@ def build_derivation(data: WeightData, A: GwaAlgebra) -> SkewDerivation:
     y_coeff = quot0 - phi.apply(data.c + data.b * (1 / mu), -1) + data.b
     on_x = A.monomial(1, x_coeff) + on_x_terms
     on_y = A.monomial(-1, y_coeff * mu) + on_y_terms
-    deriv = verified_derivation(A, mu, on_h, on_x, on_y)
-    return deriv
+    return on_h, on_x, on_y
+
+
+def build_derivation(data: WeightData, A: GwaAlgebra) -> SkewDerivation:
+    """The sigma_mu-derivation with `_weighted_values`, re-checked against
+    the defining relations."""
+    return verified_derivation(A, data.mu, *_weighted_values(data, A))
 
 
 def elementary_derivation(
@@ -344,15 +355,19 @@ def elementary_derivation(
     return build_derivation(WeightData(mu, {weight: alpha_on_h}, Poly.zero(), c), A)
 
 
+def _commutators(b: GwaElement, A: GwaAlgebra, mu: Fraction) -> dict[str, GwaElement]:
+    """The values b sigma_mu(g) - g b on the generators g = "h", "x", "y"."""
+    generators = (("h", A.h()), ("x", A.x()), ("y", A.y()))
+    return {g: b * sigma_mu(e, mu) - e * b for g, e in generators}
+
+
 def inner_derivation(b, A: GwaAlgebra, mu: Fraction) -> SkewDerivation:
     """The twisted commutator d_b = b sigma_mu(.) - (.) b, restricted to generators."""
     if isinstance(b, Poly):
         b = A.from_poly(b)
     if b.algebra != A:
         raise DerivationError("witness element belongs to a different algebra")
-    def comm(g: GwaElement) -> GwaElement:
-        return b * sigma_mu(g, mu) - g * b
-    return verified_derivation(A, mu, comm(A.h()), comm(A.x()), comm(A.y()))
+    return verified_derivation(A, mu, *_commutators(b, A, mu).values())
 
 
 # -- Q-twisting of a derivation -----------------------------------------
@@ -411,9 +426,11 @@ def classify_positive(d: SkewDerivation, A: GwaAlgebra) -> WeightData:
     """Recover weighted data from a derivation with d(x) = 0 and d(K[h])
     supported in nonnegative degrees.
 
-    The reconstruction re-runs `build_derivation` and demands exact equality,
-    so a successful return is a certified round trip.  The mirrored case
-    (d(y) = 0, negative support) is reached through the x-y symmetry.
+    The reconstruction recomputes `build_derivation`'s values and demands
+    exact equality, so a successful return is a certified round trip; as in
+    `classify_sigma_q`, the relations are checked again only for an
+    unverified d.  The mirrored case (d(y) = 0, negative support) is
+    reached through the x-y symmetry.
     """
     if not d.on_x.is_zero():
         raise ClassificationError(f"d(x) = {d.on_x} is nonzero")
@@ -424,13 +441,13 @@ def classify_positive(d: SkewDerivation, A: GwaAlgebra) -> WeightData:
         )
     data = WeightData(d.mu, dict(d.on_h.terms))
     try:
-        rebuilt = build_derivation(data, A)
+        on_h, on_x, on_y = _weighted_values(data, A)
+        if not d.verified:
+            verified_derivation(A, d.mu, on_h, on_x, on_y)
     except DerivationError as exc:
         raise ClassificationError(f"extracted data is inadmissible: {exc}") from exc
-    if rebuilt.on_y != d.on_y:
-        raise ClassificationError(
-            f"d(y) = {d.on_y} differs from reconstruction {rebuilt.on_y}"
-        )
+    if on_y != d.on_y:
+        raise ClassificationError(f"d(y) = {d.on_y} differs from reconstruction {on_y}")
     return data
 
 
@@ -459,9 +476,8 @@ class FiniteOrderData:
     """Data for the constructor available when phi has finite order D.
 
     pos[m-1] = (alpha_m(h), b_m) feeds degrees m*D (m = 1..M), and
-    neg[n-1] = (alphabar_n(h), c_n) degrees -n*D; the alphas are untwisted
-    derivations of K[h] (twist exponent 0) subject to
-    alpha(phi(h)) = mu * phi(alpha(h)).
+    neg[n-1] = (alphabar_n(h), c_n) degrees -n*D; the alphas are the
+    weighted data at weights mD and -nD (untwisted, as phi^D = id).
     """
 
     D: int
@@ -474,38 +490,27 @@ class FiniteOrderData:
             raise DerivationError("order D must be a positive integer")
         if not A.phi.power(self.D).is_identity():
             raise DerivationError(f"phi does not have order dividing {self.D}")
-        if self.mu == 0:
-            raise DerivationError("coarseness mu must be nonzero")
-        for p, _ in (*self.pos, *self.neg):
-            if not TwistedPolyDerivation(0, p).twist_condition_ok(A, self.mu):
-                raise DerivationError(
-                    f"alpha with on_h = {p} fails alpha o phi = mu * phi o alpha"
-                )
 
 
 def build_finite_order(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
     """Derivation supported in degrees that are multiples of the order of phi.
 
-        d(h) = sum_m alpha_m(h) x^{mD} + sum_n alphabar_n(h) y^{nD}
-        d(x) = sum_m b_m x^{mD+1}
-               + mu^{-1} sum_n (alphabar_n(phi(a)) - phi(c_n) a) y^{nD-1}
-        d(y) = mu sum_m (alpha_m(a) - phi^{-1}(b_m) a) x^{mD-1}
-               + sum_n c_n y^{nD+1}
+    It is the weighted derivation of `WeightData(mu, {mD: alpha_m,
+    -nD: alphabar_n})` plus the pieces of the b_m and c_n:
+
+        d(x) += sum_m b_m x^{mD+1} - mu^{-1} sum_n phi(c_n) a y^{nD-1}
+        d(y) += -mu sum_m phi^{-1}(b_m) a x^{mD-1} + sum_n c_n y^{nD+1}
     """
     data.validate(A)
     mu, phi, D = data.mu, A.phi, data.D
-    on_h, on_x, on_y = A.zero(), A.zero(), A.zero()
-    for m, (p, b_m) in enumerate(data.pos, start=1):
-        alpha = TwistedPolyDerivation(0, p)
-        on_h = on_h + A.monomial(m * D, p)
+    alphas = {m * D: p for m, (p, _) in enumerate(data.pos, start=1)}
+    alphas.update({-n * D: p for n, (p, _) in enumerate(data.neg, start=1)})
+    on_h, on_x, on_y = _weighted_values(WeightData(mu, alphas), A)
+    for m, (_, b_m) in enumerate(data.pos, start=1):
         on_x = on_x + A.monomial(m * D + 1, b_m)
-        coeff = (alpha.apply(A.a, A) - phi.apply(b_m, -1) * A.a) * mu
-        on_y = on_y + A.monomial(m * D - 1, coeff)
-    for n, (p, c_n) in enumerate(data.neg, start=1):
-        alpha = TwistedPolyDerivation(0, p)
-        on_h = on_h + A.monomial(-n * D, p)
-        coeff = (alpha.apply(phi.apply(A.a), A) - phi.apply(c_n) * A.a) * (1 / mu)
-        on_x = on_x + A.monomial(-(n * D - 1), coeff)
+        on_y = on_y - A.monomial(m * D - 1, phi.apply(b_m, -1) * A.a * mu)
+    for n, (_, c_n) in enumerate(data.neg, start=1):
+        on_x = on_x - A.monomial(1 - n * D, phi.apply(c_n) * A.a * (1 / mu))
         on_y = on_y + A.monomial(-(n * D + 1), c_n)
     return verified_derivation(A, mu, on_h, on_x, on_y)
 
@@ -534,16 +539,13 @@ def inner_witness(
     if d.algebra != A:
         raise DerivationError("derivation is over a different algebra")
     mu = d.mu
-    generators = {"h": A.h(), "x": A.x(), "y": A.y()}
     degrees = range(-degree_bound, degree_bound + 1)
-    columns = []  # column t*(poly_bound+1) + j is h^j X_k for the t-th degree k
-    for k in degrees:
-        for j in range(poly_bound + 1):
-            basis = A.monomial(k, Poly.monomial(1, j))
-            images = {
-                g: basis * sigma_mu(e, mu) - e * basis for g, e in generators.items()
-            }
-            columns.append(_generator_coordinates(images))
+    # column t*(poly_bound+1) + j is h^j X_k for the t-th degree k
+    columns = [
+        _generator_coordinates(_commutators(A.monomial(k, Poly.monomial(1, j)), A, mu))
+        for k in degrees
+        for j in range(poly_bound + 1)
+    ]
     target = _generator_coordinates({"h": d.on_h, "x": d.on_x, "y": d.on_y})
     solution = linalg.solve(*linalg.assemble(columns, target))
     if solution is None:
@@ -567,9 +569,7 @@ def derivation_through_symmetry(d: SkewDerivation) -> SkewDerivation:
     The conjugated twist is degree-counting of coarseness mu^{-1}, and the
     generator values swap and transport coefficientwise.
     """
-    A = d.algebra
-    image = symmetric_algebra(A)
-    move = lambda e: GwaElement(image, {-k: p for k, p in e.terms.items()})
-    return verified_derivation(
-        image, 1 / d.mu, move(d.on_h), move(d.on_y), move(d.on_x)
+    (image, on_h), (_, on_x), (_, on_y) = (
+        xy_symmetry(d.algebra, e) for e in (d.on_h, d.on_y, d.on_x)
     )
+    return verified_derivation(image, 1 / d.mu, on_h, on_x, on_y)

@@ -233,15 +233,14 @@ def sigma_q_dimension(A: GwaAlgebra, M: int, N: int) -> int:
     q = _require_disc_or_plane(A)
     x, y = A.x(), A.y()
     sig_x, sig_y = sigma_mu(x, q), sigma_mu(y, q)
-    columns: list[GwaElement] = []
+    x_slots: list[GwaElement] = []
+    y_slots: list[GwaElement] = []
     for m in range(M + 1):
         for n in range(N + 1):
             mono = yx_monomial(A, m, n)
-            columns.append(mono * sig_y - q * (y * mono))  # d(x) slot
-    for m in range(M + 1):
-        for n in range(N + 1):
-            mono = yx_monomial(A, m, n)
-            columns.append(x * mono - q * (mono * sig_x))  # d(y) slot
+            x_slots.append(mono * sig_y - q * (y * mono))
+            y_slots.append(x * mono - q * (mono * sig_x))
+    columns = x_slots + y_slots
     matrix, _ = linalg.assemble([col.coordinates() for col in columns], {})
     return linalg.nullspace_dimension(matrix, len(columns))
 

@@ -107,8 +107,6 @@ def rank(matrix: list[list[Fraction]]) -> int:
 
 
 def nullspace_dimension(matrix: list[list[Fraction]], ncols: int) -> int:
-    if not matrix:
-        return ncols
     return ncols - rank(matrix)
 
 

@@ -27,6 +27,7 @@ from gwa_skew import (
     q_check,
     sigma_mu,
 )
+from gwa_skew.derivations import verified_derivation
 from gwa_skew.poly import AffineAuto, Poly
 
 F = Fraction
@@ -320,6 +321,24 @@ def test_classify_positive_round_trip_random(rng):
             assert classify_positive(d, A) == data
 
 
+def test_classify_positive_verifies_only_unverified_input(monkeypatch):
+    # a verified d whose d(y) matches the rebuild certifies it: no second
+    # relation check; an unverified one still has its rebuild checked
+    from gwa_skew import derivations
+
+    calls = []
+    original = derivations.check_relations
+    monkeypatch.setattr(derivations, "check_relations", lambda *a: calls.append(1) or original(*a))
+    data = WeightData(F(2), {1: Poly.one(), 3: Poly([F(-1, 2)])})
+    d = build_derivation(data, DISC2)
+    assert d.verified and len(calls) == 1
+    assert classify_positive(d, DISC2) == data
+    assert len(calls) == 1
+    unverified = SkewDerivation(DISC2, d.mu, d.on_h, d.on_x, d.on_y, verified=False)
+    assert classify_positive(unverified, DISC2) == data
+    assert len(calls) == 2
+
+
 def test_classify_negative_through_symmetry(rng):
     # mirrored case: d(y) = 0 and negative support classifies in the image algebra
     data = WeightData(F(2), {-2: Poly.one()})
@@ -429,6 +448,82 @@ def test_finite_order_with_witness_polynomials():
     )
     d = build_finite_order(data, B)
     assert d.verified
+
+
+def finite_order_oracle(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
+    """Oracle for `build_finite_order`: its earlier body, which wrote out the
+    alpha pieces and the twist check itself instead of reusing the weighted
+    constructor."""
+    if data.D < 1:
+        raise DerivationError("order D must be a positive integer")
+    if not A.phi.power(data.D).is_identity():
+        raise DerivationError(f"phi does not have order dividing {data.D}")
+    if data.mu == 0:
+        raise DerivationError("coarseness mu must be nonzero")
+    for p, _ in (*data.pos, *data.neg):
+        if not TwistedPolyDerivation(0, p).twist_condition_ok(A, data.mu):
+            raise DerivationError(f"alpha with on_h = {p} fails alpha o phi = mu * phi o alpha")
+    mu, phi, D = data.mu, A.phi, data.D
+    on_h, on_x, on_y = A.zero(), A.zero(), A.zero()
+    for m, (p, b_m) in enumerate(data.pos, start=1):
+        alpha = TwistedPolyDerivation(0, p)
+        on_h = on_h + A.monomial(m * D, p)
+        on_x = on_x + A.monomial(m * D + 1, b_m)
+        coeff = (alpha.apply(A.a, A) - phi.apply(b_m, -1) * A.a) * mu
+        on_y = on_y + A.monomial(m * D - 1, coeff)
+    for n, (p, c_n) in enumerate(data.neg, start=1):
+        alpha = TwistedPolyDerivation(0, p)
+        on_h = on_h + A.monomial(-n * D, p)
+        coeff = (alpha.apply(phi.apply(A.a), A) - phi.apply(c_n) * A.a) * (1 / mu)
+        on_x = on_x + A.monomial(-(n * D - 1), coeff)
+        on_y = on_y + A.monomial(-(n * D + 1), c_n)
+    return verified_derivation(A, mu, on_h, on_x, on_y)
+
+
+def random_finite_order_alpha(rng, centre: Fraction, parity: int | None) -> Poly:
+    """alpha(h) of degree <= 3 in powers of s = h - centre: only even powers
+    (parity 0), only odd powers (parity 1), or any powers (None)."""
+    s, power, out = Poly([-centre, 1]), Poly.one(), Poly.zero()
+    for k in range(4):
+        if parity is None or k % 2 == parity:
+            out = out + random_fraction(rng) * power
+        power = power * s
+    return out
+
+
+@pytest.mark.parametrize(
+    "A, D, centre",
+    [
+        (GwaAlgebra(Poly([0, 0, 1]), AffineAuto(-1)), 2, F(0)),
+        (GwaAlgebra(Poly([1, 0, 1]), AffineAuto(-1)), 2, F(0)),
+        (GwaAlgebra(Poly([3, 1, 1]), AffineAuto(-1, 1)), 2, F(1, 2)),
+        (GwaAlgebra(Poly([1, 1, 1]), AffineAuto.identity()), 1, F(0)),
+    ],
+    ids=["h^2-reflection", "1+h^2-reflection", "3+h+h^2-shifted-reflection", "identity-D1"],
+)
+def test_finite_order_matches_written_out_oracle(A, D, centre):
+    rng = rng_for(f"finite-order-oracle:{A!r}")
+    built = raised = 0
+    for _ in range(80):
+        mu = rng.choice([F(1), F(-1), F(2)])
+        # about the centre of a reflection, the twist condition holds for odd
+        # alphas at mu = 1 and even ones at mu = -1
+        parity = rng.choice([{1: 1, -1: 0}.get(mu), 0, 1, None])
+        pieces = lambda: tuple(
+            (random_finite_order_alpha(rng, centre, parity), random_poly(rng, 2))
+            for _ in range(rng.randint(0, 2))
+        )
+        data = FiniteOrderData(D, mu, pos=pieces(), neg=pieces())
+        try:
+            expected = finite_order_oracle(data, A)
+        except DerivationError:
+            with pytest.raises(DerivationError):
+                build_finite_order(data, A)
+            raised += 1
+            continue
+        assert build_finite_order(data, A) == expected
+        built += any(not b.is_zero() for _, b in (*data.pos, *data.neg))
+    assert built >= 5 and raised >= 5
 
 
 def test_finite_order_d1_agrees_with_weighted_constructor():

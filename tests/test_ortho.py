@@ -134,6 +134,19 @@ def test_elementary_pair_raises_on_a_twist_violation():
     assert report.ok and not any("twist" in c.label for c in report.checks)
 
 
+def test_elementary_pair_hypothesis_labels_are_pinned():
+    # A regression pin of the current list, not taken from the paper (its text
+    # is not in the repository): it fixes which exponents each family checks.
+    _, _, report = elementary_pair(2, 3, Poly([1]), Poly([1]), DISC2, F(2), F(2))
+    assert [c.label for c in report.checks] == [
+        *(f"a-coprime-phi^{i}(a)" for i in (1, 2, 3, 4, 5)),
+        *(f"alpha(a)-coprime-phi^{j}(a)" for j in (-3, -2, -1, 0, 3, 4)),
+        "alpha(a)-coprime-shift",
+        *(f"abar(a)-coprime-phi^{j}(a)" for j in (-4, -3, -2, -1, 0, 4, 5, 6)),
+        "abar(a)-coprime-shift",
+    ]
+
+
 def test_certificate_needs_generators():
     d, dbar, _ = plane_unit_pair(PLANE2)
     with pytest.raises(CertificateError, match="generators"):

@@ -63,6 +63,22 @@ def test_algebra_round_trip(A):
 
 
 @pytest.mark.parametrize(
+    "label, field, value",
+    [
+        ("disc", "a", ["0", "1"]),
+        ("disc", "phi", {"u": "3"}),
+        ("plane", "a", ["1", "-1"]),
+        ("plane", "phi", {"u": "2", "v": "1"}),
+    ],
+    ids=["disc-a", "disc-phi", "plane-a", "plane-phi"],
+)
+def test_preset_rejects_a_or_phi_contradicting_it(label, field, value):
+    doc = {"label": label, "q": "2", field: value}
+    with pytest.raises(ser.SchemaError, match=f"field {field} contradicts the {label} preset"):
+        ser.algebra_from_json(doc)
+
+
+@pytest.mark.parametrize(
     "phi, q", [({"u": "2"}, "3"), ({"u": "2", "v": "1"}, "2")], ids=["other-q", "shift"]
 )
 def test_custom_algebra_rejects_a_q_contradicting_phi(phi, q):
