@@ -50,9 +50,8 @@ parametrized families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import linalg
 from .gwa import GwaAlgebra, GwaElement, Grading, graded_degree, sigma_mu, xy_symmetry
@@ -67,8 +66,7 @@ class ClassificationError(ValueError):
     """A derivation is not of the requested parametric form."""
 
 
-@dataclass(frozen=True)
-class TwistedPolyDerivation:
+class TwistedPolyDerivation(NamedTuple):
     """The tau-twisted derivation of K[h] with a prescribed value on h.
 
     For tau = phi^twist_exp, the map alpha(f g) = alpha(f) tau(g) + f alpha(g)
@@ -99,16 +97,21 @@ class TwistedPolyDerivation:
         return lhs == rhs
 
 
-@dataclass(frozen=True)
 class SkewDerivation:
-    """A sigma_mu-twisted derivation, stored by its values on h, x, y."""
+    """A sigma_mu-twisted derivation, stored by its values on h, x, y;
+    `verified` (set by `check_relations`) takes part in `==`."""
 
-    algebra: GwaAlgebra
-    mu: Fraction
-    on_h: GwaElement
-    on_x: GwaElement
-    on_y: GwaElement
-    verified: bool = False
+    __slots__ = ("algebra", "mu", "on_h", "on_x", "on_y", "verified")
+
+    def __init__(self, algebra: GwaAlgebra, mu: Fraction, on_h: GwaElement,
+                 on_x: GwaElement, on_y: GwaElement, verified: bool = False):
+        self.algebra, self.mu, self.verified = algebra, mu, verified
+        self.on_h, self.on_x, self.on_y = on_h, on_x, on_y
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SkewDerivation):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     @staticmethod
     def zero(A: GwaAlgebra, mu: Fraction) -> "SkewDerivation":
@@ -182,13 +185,15 @@ class SkewDerivation:
 # -- relation checking --------------------------------------------------
 
 
-@dataclass
-class RelationReport:
+class RelationReport(NamedTuple):
     """Outcome of checking a candidate against the defining relations."""
 
-    ok: bool
-    violations: list[tuple[str, GwaElement]] = field(default_factory=list)
+    violations: list[tuple[str, GwaElement]]
     derivation: SkewDerivation | None = None
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
 
 def check_relations(
@@ -219,11 +224,8 @@ def check_relations(
         "yh": on_y * sig(h) + y * on_h - cand._on_poly(phi_inv_h) * sig(y) - phi_inv_h * on_y,
     }
     violations = [(name, r) for name, r in residuals.items() if not r.is_zero()]
-    if violations:
-        return RelationReport(False, violations)
-    return RelationReport(
-        True, [], SkewDerivation(A, mu, on_h, on_x, on_y, verified=True)
-    )
+    derivation = None if violations else SkewDerivation(A, mu, on_h, on_x, on_y, verified=True)
+    return RelationReport(violations, derivation)
 
 
 def verified_derivation(
@@ -258,22 +260,24 @@ def derivation_from_xy(
 # -- the weighted-family constructor -----------------------------------
 
 
-@dataclass(frozen=True)
 class WeightData:
     """Input datum for `build_derivation`.
 
-    alphas maps a weight i to alpha_i(h) (zero entries are pruned);
-    b and c are the polynomials entering the weight-0 and inner pieces.
+    alphas maps a weight i to alpha_i(h) (zero entries are pruned, so `==` ignores
+    them); b and c are the polynomials entering the weight-0 and inner pieces.
     """
 
-    mu: Fraction
-    alphas: dict[int, Poly]
-    b: Poly = Poly.zero()
-    c: Poly = Poly.zero()
+    __slots__ = ("mu", "alphas", "b", "c")
 
-    def __post_init__(self):
-        pruned = {i: p for i, p in self.alphas.items() if not p.is_zero()}
-        object.__setattr__(self, "alphas", pruned)
+    def __init__(self, mu: Fraction, alphas: dict[int, Poly],
+                 b: Poly = Poly.zero(), c: Poly = Poly.zero()):
+        self.mu, self.b, self.c = mu, b, c
+        self.alphas = {i: p for i, p in alphas.items() if not p.is_zero()}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightData):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     def __add__(self, other: "WeightData") -> "WeightData":
         if self.mu != other.mu:
@@ -373,10 +377,14 @@ def inner_derivation(b, A: GwaAlgebra, mu: Fraction) -> SkewDerivation:
 # -- Q-twisting of a derivation -----------------------------------------
 
 
-@dataclass(frozen=True)
-class QCheckResult:
-    is_q_derivation: bool
-    Q: Fraction | None = None
+class QCheckResult(NamedTuple):
+    """Q with sigma_mu o d o sigma_mu^{-1} = Q d, or None when no scalar works."""
+
+    Q: Fraction | None
+
+    @property
+    def is_q_derivation(self) -> bool:
+        return self.Q is not None
 
 
 def _scalar_ratio(num: GwaElement, den: GwaElement) -> Fraction | None:
@@ -416,7 +424,7 @@ def q_check(d: SkewDerivation) -> QCheckResult:
         "y": (1 / mu) * sigma_mu(d.on_y, mu),
     }
     Q = _common_value(d, lambda g, val: _scalar_ratio(conjugated[g], val), Fraction(1))
-    return QCheckResult(False) if Q is None else QCheckResult(True, Q)
+    return QCheckResult(Q)
 
 
 # -- classification of one-sided derivations ------------------------------
@@ -471,8 +479,7 @@ def degree_profile(d: SkewDerivation, G: Grading) -> int | None:
 # -- finite-order automorphisms -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteOrderData:
+class FiniteOrderData(NamedTuple):
     """Data for the constructor available when phi has finite order D.
 
     pos[m-1] = (alpha_m(h), b_m) feeds degrees m*D (m = 1..M), and
@@ -498,7 +505,7 @@ def build_finite_order(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
     It is the weighted derivation of `WeightData(mu, {mD: alpha_m,
     -nD: alphabar_n})` plus the pieces of the b_m and c_n:
 
-        d(x) += sum_m b_m x^{mD+1} - mu^{-1} sum_n phi(c_n) a y^{nD-1}
+        d(x) += sum_m b_m x^{mD+1} - mu^{-1} sum_n phi(c_n a) y^{nD-1}
         d(y) += -mu sum_m phi^{-1}(b_m) a x^{mD-1} + sum_n c_n y^{nD+1}
     """
     data.validate(A)
@@ -510,7 +517,7 @@ def build_finite_order(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
         on_x = on_x + A.monomial(m * D + 1, b_m)
         on_y = on_y - A.monomial(m * D - 1, phi.apply(b_m, -1) * A.a * mu)
     for n, (_, c_n) in enumerate(data.neg, start=1):
-        on_x = on_x - A.monomial(1 - n * D, phi.apply(c_n) * A.a * (1 / mu))
+        on_x = on_x - A.monomial(1 - n * D, phi.apply(c_n * A.a) * (1 / mu))
         on_y = on_y + A.monomial(-(n * D + 1), c_n)
     return verified_derivation(A, mu, on_h, on_x, on_y)
 

@@ -25,7 +25,6 @@ so inconsistent data is unrepresentable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -130,7 +129,6 @@ def to_monomial_basis(e: GwaElement, A: GwaAlgebra) -> dict[tuple[int, int], Fra
 # -- coarseness-q derivations ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class SigmaQData:
     """Free parameters of a coarseness-q derivation with bounded support.
 
@@ -140,21 +138,20 @@ class SigmaQData:
     equality of derivations.  M and N are derived minimal bounds.
     """
 
-    alpha: dict[tuple[int, int], Fraction]
-    f: tuple[Fraction, ...] = ()
-    g: tuple[Fraction, ...] = ()
+    __slots__ = ("alpha", "f", "g")
 
-    def __post_init__(self):
-        pruned = {}
-        for (m, n), c in self.alpha.items():
+    def __init__(self, alpha: dict[tuple[int, int], Fraction],
+                 f: tuple[Fraction, ...] = (), g: tuple[Fraction, ...] = ()):
+        for m, n in alpha:
             if m < 0 or n < 1:
                 raise ValueError(f"alpha index ({m}, {n}) out of range")
-            if c != 0:
-                pruned[(m, n)] = Fraction(c)
-        object.__setattr__(self, "alpha", pruned)
-        for name in ("f", "g"):
-            p = Poly(getattr(self, name))
-            object.__setattr__(self, name, tuple(Fraction(c, p.den) for c in p.num))
+        self.alpha = {key: Fraction(c) for key, c in alpha.items() if c != 0}
+        self.f, self.g = (tuple(Fraction(c, p.den) for c in p.num) for p in (Poly(f), Poly(g)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SigmaQData):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
 
     @property
     def M(self) -> int:

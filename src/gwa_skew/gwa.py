@@ -23,8 +23,8 @@ with phi: h -> q*h, are available as presets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .poly import AffineAuto, Poly, Scalar, is_root_of_unity
 
@@ -273,8 +273,7 @@ def sigma_mu(e: GwaElement, mu: Fraction, exponent: int = 1) -> GwaElement:
 # -- gradings ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Grading:
+class Grading(NamedTuple):
     """(d, k)-type grading: deg h = w, deg x = k, deg y = d - k.
 
     Homogeneity of the central element forces d = w * deg(a); the disc only

@@ -32,10 +32,12 @@ before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .derivations import SkewDerivation, TwistedPolyDerivation, elementary_derivation
+from .derivations import (
+    SkewDerivation, TwistedPolyDerivation, derivation_from_xy, elementary_derivation
+)
 from .disc_plane import q_int
 from .gwa import GwaAlgebra, GwaElement, sigma_mu
 from .poly import BezoutWitness, Poly, extended_gcd
@@ -52,29 +54,29 @@ class CertificateError(ValueError):
 # -- certificates ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrthoCertificate:
+class OrthoCertificate(NamedTuple):
     """Witness pairs per derivation: rows[i] = ((a_t, b_t), ...)."""
 
     rows: tuple[tuple[tuple[GwaElement, GwaElement], ...], ...]
 
 
-@dataclass
-class CertificateCheck:
-    ok: bool
-    failures: list[tuple[int, int, GwaElement]] = field(default_factory=list)
+class CertificateCheck(NamedTuple):
+    """The (i, k, residual) triples, 1-based, where sum_t a_it d_k(b_it) != delta_ik."""
+
+    failures: list[tuple[int, int, GwaElement]]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def verify_certificate(
     cert: OrthoCertificate, system: list[SkewDerivation], A: GwaAlgebra
 ) -> CertificateCheck:
-    """Exactly evaluate sum_t a_it d_k(b_it) against delta_ik.
-
-    Failures are reported as (i, k, residual) with 1-based indices.
-    """
+    """Exactly evaluate sum_t a_it d_k(b_it) against delta_ik."""
     if len(cert.rows) != len(system):
         raise CertificateError("certificate and system sizes differ")
-    check = CertificateCheck(True)
+    failures = []
     for i, row in enumerate(cert.rows):
         for k, d in enumerate(system):
             total = A.zero()
@@ -82,9 +84,8 @@ def verify_certificate(
                 total = total + a * d.evaluate(b)
             expected = A.one() if i == k else A.zero()
             if total != expected:
-                check.ok = False
-                check.failures.append((i + 1, k + 1, total - expected))
-    return check
+                failures.append((i + 1, k + 1, total - expected))
+    return CertificateCheck(failures)
 
 
 def _scalar_of(e: GwaElement) -> Fraction | None:
@@ -295,15 +296,13 @@ def certificate_from_ideal(
 # -- elementary orthogonal pairs ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     label: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class PairHypothesisReport:
+class PairHypothesisReport(NamedTuple):
     checks: tuple[HypothesisCheck, ...]
 
     @property
@@ -406,8 +405,7 @@ def q_kl(k: int, l: int, q: Fraction) -> Fraction | None:
     return value
 
 
-@dataclass(frozen=True)
-class PairConditionReport:
+class PairConditionReport(NamedTuple):
     """Exceptional exponents for a disc pair with powers (m, n).
 
     violated_exponents collects all i with q_kl = q^i over both orderings
@@ -474,8 +472,6 @@ def disc_pair(
         raise ValueError("disc pairs require m, n > 1")
     if c == 0 or cbar == 0:
         raise ValueError("the scalars c and cbar must be nonzero")
-    from .derivations import derivation_from_xy
-
     A = GwaAlgebra.disc(q)
     one_minus_h = Poly([1, -1])
     d = derivation_from_xy(

@@ -20,9 +20,8 @@ producing verifiable Bezout witnesses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -336,8 +335,7 @@ class AffineAuto:
         return f"AffineAuto(u={self.u}, v={self.v})"
 
 
-@dataclass(frozen=True)
-class BezoutWitness:
+class BezoutWitness(NamedTuple):
     """Certificate s*lhs + t*rhs = g with g the monic gcd."""
 
     g: Poly

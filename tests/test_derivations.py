@@ -76,9 +76,12 @@ def test_check_relations_rejects_flipped_sign():
     rep = check_relations(
         DISC2, F(2), DISC2.zero(), DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly.h())
     )
-    assert not rep.ok
-    violated = dict(rep.violations)
-    assert "yx" in violated and not violated["yx"].is_zero()
+    assert not rep.ok and rep.derivation is None
+    # every failed relation is listed, with its residual
+    assert rep.violations == [
+        ("xy", DISC2.from_poly(Poly([0, 4, -8]))),
+        ("yx", DISC2.from_poly(Poly([0, 1, -1]))),
+    ]
 
 
 def test_check_relations_accepts_zero_map():
@@ -292,6 +295,25 @@ def test_q_check_diagonal_family_reports_one():
     assert result.is_q_derivation and result.Q == 1
 
 
+# -- value types ------------------------------------------------------------------
+
+
+def test_weight_data_equality_ignores_zero_alphas():
+    data = WeightData(F(2), {1: Poly.one(), 2: Poly.zero()})
+    assert data.alphas == {1: Poly.one()}
+    assert data == WeightData(F(2), {1: Poly.one()})
+    assert data != WeightData(F(2), {1: Poly.one()}, b=Poly.h())
+    assert data != WeightData(F(3), {1: Poly.one()})
+
+
+def test_skew_derivation_equality_compares_verified():
+    d = build_derivation(WeightData(F(2), {1: Poly.one()}), DISC2)
+    assert d.verified
+    assert d == SkewDerivation(d.algebra, d.mu, d.on_h, d.on_x, d.on_y, verified=True)
+    assert d != SkewDerivation(d.algebra, d.mu, d.on_h, d.on_x, d.on_y)
+    assert d != SkewDerivation(d.algebra, F(3), d.on_h, d.on_x, d.on_y, verified=True)
+
+
 # -- classification ---------------------------------------------------------------
 
 
@@ -450,6 +472,19 @@ def test_finite_order_with_witness_polynomials():
     assert d.verified
 
 
+@pytest.mark.parametrize("mu", [F(1), F(-1), F(2)])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("c_n", [Poly.one(), Poly([2, -1, 3])], ids=["1", "2-h+3h^2"])
+def test_finite_order_c_n_piece_where_phi_moves_a(mu, n, c_n):
+    # phi(a) = 5 - 3h + h^2 != a, so the xy relation tells phi(c_n a) from phi(c_n) a
+    A = GwaAlgebra(Poly([3, 1, 1]), AffineAuto(-1, 1))
+    neg = ((Poly.zero(), Poly.zero()),) * (n - 1) + ((Poly.zero(), c_n),)
+    d = build_finite_order(FiniteOrderData(2, mu, neg=neg), A)
+    assert d.verified
+    assert d.on_x == A.monomial(1 - 2 * n, -A.phi.apply(c_n * A.a) * (1 / mu))
+    assert d.on_y == A.monomial(-(2 * n + 1), c_n)
+
+
 def finite_order_oracle(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
     """Oracle for `build_finite_order`: its earlier body, which wrote out the
     alpha pieces and the twist check itself instead of reusing the weighted
@@ -474,7 +509,7 @@ def finite_order_oracle(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
     for n, (p, c_n) in enumerate(data.neg, start=1):
         alpha = TwistedPolyDerivation(0, p)
         on_h = on_h + A.monomial(-n * D, p)
-        coeff = (alpha.apply(phi.apply(A.a), A) - phi.apply(c_n) * A.a) * (1 / mu)
+        coeff = (alpha.apply(phi.apply(A.a), A) - phi.apply(c_n * A.a)) * (1 / mu)
         on_x = on_x + A.monomial(-(n * D - 1), coeff)
         on_y = on_y + A.monomial(-(n * D + 1), c_n)
     return verified_derivation(A, mu, on_h, on_x, on_y)

@@ -132,6 +132,15 @@ def test_build_sigma_q_basic_example():
     assert (d.on_h, d.on_x, d.on_y) == (diag.on_h, diag.on_x, diag.on_y)
 
 
+def test_sigma_q_data_equality_ignores_zero_entries():
+    data = SigmaQData({(0, 1): F(1), (1, 1): F(0)}, f=(F(2), F(0)), g=(F(0),))
+    assert (data.alpha, data.f, data.g) == ({(0, 1): F(1)}, (F(2),), ())
+    assert data == SigmaQData({(0, 1): F(1)}, f=(F(2),))
+    assert data != SigmaQData({(0, 1): F(1)}, g=(F(2),))
+    with pytest.raises(ValueError, match="out of range"):
+        SigmaQData({(0, 0): F(0)})  # indices are checked before zeros are pruned
+
+
 def test_build_sigma_q_pure_f():
     d = build_sigma_q(SigmaQData({}, f=(F(0), F(0), F(1))), DISC2)
     assert d.on_x.is_zero()

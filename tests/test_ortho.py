@@ -52,7 +52,8 @@ def test_wrong_certificate_reports_residual():
     )
     check = verify_certificate(cert, [d, dbar], PLANE2)
     assert not check.ok
-    assert check.failures[0][:2] == (1, 1)  # d(x) = 0 != 1
+    # every failed (i, k) is listed: d(x) = 0 != 1 and dbar(x) = 1 != 0
+    assert check.failures == [(1, 1, -PLANE2.one()), (1, 2, PLANE2.one())]
 
 
 def test_empty_system_verifies_vacuously():

@@ -24,6 +24,19 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_does_not_import_dataclasses():
+    # value types are slotted classes or NamedTuples: importing `dataclasses`
+    # (and the inspect/ast machinery behind it) lengthens every CLI start-up
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_only_poly_reads_the_fraction_view():
     # the library works on (num, den); `coeffs` is a view for callers outside it
     found = [
