@@ -79,7 +79,7 @@ def _input_doc(args) -> object:
 
 def _derivation(A: GwaAlgebra, doc):
     cand = ser.derivation_from_json(doc, A)
-    report = check_relations(A, cand.mu, cand.on_h, cand.on_x, cand.on_y)
+    report = check_relations(cand.mu, cand.on_h, cand.on_x, cand.on_y)
     if not report.ok:
         name, residual = report.violations[0]
         violation = {"relation": name, "residual": ser.element_to_json(residual)}
@@ -129,12 +129,11 @@ def _cmd_build_sigma_q(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    A = _algebra(args)
-    d = _derivation(A, _input_doc(args))
+    d = _derivation(_algebra(args), _input_doc(args))
     try:
         if args.mode == "positive":
-            return ser.weight_data_to_json(classify_positive(d, A))
-        return ser.sigma_q_data_to_json(classify_sigma_q(d, A))
+            return ser.weight_data_to_json(classify_positive(d))
+        return ser.sigma_q_data_to_json(classify_sigma_q(d))
     except ClassificationError as exc:
         raise VerificationFailure(_error("not-of-this-form", exc))
 
@@ -159,9 +158,8 @@ def _cmd_degree_profile(args) -> dict:
 
 
 def _cmd_inner_witness(args) -> dict:
-    A = _algebra(args)
-    d = _derivation(A, _input_doc(args))
-    witness = inner_witness(d, A, args.degree_bound, args.poly_bound)
+    d = _derivation(_algebra(args), _input_doc(args))
+    witness = inner_witness(d, args.degree_bound, args.poly_bound)
     return {"witness": None if witness is None else ser.element_to_json(witness)}
 
 

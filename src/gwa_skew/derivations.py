@@ -101,12 +101,17 @@ class SkewDerivation:
     """A sigma_mu-twisted derivation, stored by its values on h, x, y;
     `verified` (set by `check_relations`) takes part in `==`."""
 
-    __slots__ = ("algebra", "mu", "on_h", "on_x", "on_y", "verified")
+    __slots__ = ("mu", "on_h", "on_x", "on_y", "verified")
 
-    def __init__(self, algebra: GwaAlgebra, mu: Fraction, on_h: GwaElement,
-                 on_x: GwaElement, on_y: GwaElement, verified: bool = False):
-        self.algebra, self.mu, self.verified = algebra, mu, verified
+    def __init__(self, mu: Fraction, on_h: GwaElement, on_x: GwaElement, on_y: GwaElement,
+                 verified: bool = False):
+        self.mu, self.verified = mu, verified
         self.on_h, self.on_x, self.on_y = on_h, on_x, on_y
+
+    @property
+    def algebra(self) -> GwaAlgebra:
+        """The algebra the values on h, x, y belong to."""
+        return self.on_h.algebra
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SkewDerivation):
@@ -116,7 +121,7 @@ class SkewDerivation:
     @staticmethod
     def zero(A: GwaAlgebra, mu: Fraction) -> "SkewDerivation":
         z = A.zero()
-        return SkewDerivation(A, mu, z, z, z, verified=True)
+        return SkewDerivation(mu, z, z, z, verified=True)
 
     def is_zero(self) -> bool:
         return self.on_h.is_zero() and self.on_x.is_zero() and self.on_y.is_zero()
@@ -125,7 +130,6 @@ class SkewDerivation:
         if self.algebra != other.algebra or self.mu != other.mu:
             raise DerivationError("can only add derivations with the same twist")
         return SkewDerivation(
-            self.algebra,
             self.mu,
             self.on_h + other.on_h,
             self.on_x + other.on_x,
@@ -134,9 +138,7 @@ class SkewDerivation:
         )
 
     def __neg__(self) -> "SkewDerivation":
-        return SkewDerivation(
-            self.algebra, self.mu, -self.on_h, -self.on_x, -self.on_y, self.verified
-        )
+        return SkewDerivation(self.mu, -self.on_h, -self.on_x, -self.on_y, self.verified)
 
     def __sub__(self, other: "SkewDerivation") -> "SkewDerivation":
         return self + (-other)
@@ -197,21 +199,18 @@ class RelationReport(NamedTuple):
 
 
 def check_relations(
-    A: GwaAlgebra,
-    mu: Fraction,
-    on_h: GwaElement,
-    on_x: GwaElement,
-    on_y: GwaElement,
+    mu: Fraction, on_h: GwaElement, on_x: GwaElement, on_y: GwaElement
 ) -> RelationReport:
     """Verify that prescribed generator values define a sigma_mu-derivation.
 
     Checks d(xy - phi(a)), d(yx - a), d(xh - phi(h)x) and d(yh - phi^{-1}(h)y)
-    for exact vanishing and reports the first nonzero residual of each failed
-    relation.
+    for exact vanishing and returns every failed relation with its whole
+    residual.
     """
     if mu == 0:
         raise DerivationError("coarseness mu must be nonzero")
-    cand = SkewDerivation(A, mu, on_h, on_x, on_y, verified=False)
+    cand = SkewDerivation(mu, on_h, on_x, on_y, verified=False)
+    A = cand.algebra
     x, y, h = A.x(), A.y(), A.h()
     sig = lambda e: sigma_mu(e, mu)
     phi_h = A.phi.h_image()
@@ -224,37 +223,32 @@ def check_relations(
         "yh": on_y * sig(h) + y * on_h - cand._on_poly(phi_inv_h) * sig(y) - phi_inv_h * on_y,
     }
     violations = [(name, r) for name, r in residuals.items() if not r.is_zero()]
-    derivation = None if violations else SkewDerivation(A, mu, on_h, on_x, on_y, verified=True)
+    derivation = None if violations else SkewDerivation(mu, on_h, on_x, on_y, verified=True)
     return RelationReport(violations, derivation)
 
 
 def verified_derivation(
-    A: GwaAlgebra,
-    mu: Fraction,
-    on_h: GwaElement,
-    on_x: GwaElement,
-    on_y: GwaElement,
+    mu: Fraction, on_h: GwaElement, on_x: GwaElement, on_y: GwaElement
 ) -> SkewDerivation:
     """check_relations, raising on failure; used by constructors."""
-    report = check_relations(A, mu, on_h, on_x, on_y)
+    report = check_relations(mu, on_h, on_x, on_y)
     if not report.ok:
         name, res = report.violations[0]
         raise DerivationError(f"relation {name} violated, residual {res}")
     return report.derivation
 
 
-def derivation_from_xy(
-    A: GwaAlgebra, mu: Fraction, on_x: GwaElement, on_y: GwaElement
-) -> SkewDerivation:
+def derivation_from_xy(mu: Fraction, on_x: GwaElement, on_y: GwaElement) -> SkewDerivation:
     """Derivation from its values on x and y when a is linear in h.
 
     d(h) is forced by d(a(h)) = d(y) sigma(x) + y d(x) since a = a0 + a1*h.
     """
+    A = on_x.algebra
     if A.a.degree() != 1:
         raise DerivationError("central element must be linear to infer d(h)")
     d_a = on_y * sigma_mu(A.x(), mu) + A.y() * on_x
     on_h = (1 / A.a.leading()) * d_a
-    return verified_derivation(A, mu, on_h, on_x, on_y)
+    return verified_derivation(mu, on_h, on_x, on_y)
 
 
 # -- the weighted-family constructor -----------------------------------
@@ -343,7 +337,7 @@ def _weighted_values(
 def build_derivation(data: WeightData, A: GwaAlgebra) -> SkewDerivation:
     """The sigma_mu-derivation with `_weighted_values`, re-checked against
     the defining relations."""
-    return verified_derivation(A, data.mu, *_weighted_values(data, A))
+    return verified_derivation(data.mu, *_weighted_values(data, A))
 
 
 def elementary_derivation(
@@ -359,8 +353,9 @@ def elementary_derivation(
     return build_derivation(WeightData(mu, {weight: alpha_on_h}, Poly.zero(), c), A)
 
 
-def _commutators(b: GwaElement, A: GwaAlgebra, mu: Fraction) -> dict[str, GwaElement]:
+def _commutators(b: GwaElement, mu: Fraction) -> dict[str, GwaElement]:
     """The values b sigma_mu(g) - g b on the generators g = "h", "x", "y"."""
+    A = b.algebra
     generators = (("h", A.h()), ("x", A.x()), ("y", A.y()))
     return {g: b * sigma_mu(e, mu) - e * b for g, e in generators}
 
@@ -371,7 +366,7 @@ def inner_derivation(b, A: GwaAlgebra, mu: Fraction) -> SkewDerivation:
         b = A.from_poly(b)
     if b.algebra != A:
         raise DerivationError("witness element belongs to a different algebra")
-    return verified_derivation(A, mu, *_commutators(b, A, mu).values())
+    return verified_derivation(mu, *_commutators(b, mu).values())
 
 
 # -- Q-twisting of a derivation -----------------------------------------
@@ -430,7 +425,7 @@ def q_check(d: SkewDerivation) -> QCheckResult:
 # -- classification of one-sided derivations ------------------------------
 
 
-def classify_positive(d: SkewDerivation, A: GwaAlgebra) -> WeightData:
+def classify_positive(d: SkewDerivation) -> WeightData:
     """Recover weighted data from a derivation with d(x) = 0 and d(K[h])
     supported in nonnegative degrees.
 
@@ -438,7 +433,7 @@ def classify_positive(d: SkewDerivation, A: GwaAlgebra) -> WeightData:
     exact equality, so a successful return is a certified round trip; as in
     `classify_sigma_q`, the relations are checked again only for an
     unverified d.  The mirrored case (d(y) = 0, negative support) is
-    reached through the x-y symmetry.
+    `classify_positive(derivation_through_symmetry(d))`.
     """
     if not d.on_x.is_zero():
         raise ClassificationError(f"d(x) = {d.on_x} is nonzero")
@@ -449,9 +444,9 @@ def classify_positive(d: SkewDerivation, A: GwaAlgebra) -> WeightData:
         )
     data = WeightData(d.mu, dict(d.on_h.terms))
     try:
-        on_h, on_x, on_y = _weighted_values(data, A)
+        on_h, on_x, on_y = _weighted_values(data, d.algebra)
         if not d.verified:
-            verified_derivation(A, d.mu, on_h, on_x, on_y)
+            verified_derivation(d.mu, on_h, on_x, on_y)
     except DerivationError as exc:
         raise ClassificationError(f"extracted data is inadmissible: {exc}") from exc
     if on_y != d.on_y:
@@ -519,7 +514,7 @@ def build_finite_order(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
     for n, (_, c_n) in enumerate(data.neg, start=1):
         on_x = on_x - A.monomial(1 - n * D, phi.apply(c_n * A.a) * (1 / mu))
         on_y = on_y + A.monomial(-(n * D + 1), c_n)
-    return verified_derivation(A, mu, on_h, on_x, on_y)
+    return verified_derivation(mu, on_h, on_x, on_y)
 
 
 # -- inner witnesses --------------------------------------------------------
@@ -532,9 +527,7 @@ def _generator_coordinates(
     return {(g, *key): c for g, e in values.items() for key, c in e.coordinates().items()}
 
 
-def inner_witness(
-    d: SkewDerivation, A: GwaAlgebra, degree_bound: int, poly_bound: int
-) -> GwaElement | None:
+def inner_witness(d: SkewDerivation, degree_bound: int, poly_bound: int) -> GwaElement | None:
     """Search for b with d = b sigma_mu(.) - (.) b inside the given bounds.
 
     The candidate b ranges over sum_{|k| <= degree_bound} p_k(h) X_k with
@@ -543,13 +536,11 @@ def inner_witness(
     twisted commutator map has a kernel), so any solution is accepted after
     re-verification; None means no witness exists within the bounds.
     """
-    if d.algebra != A:
-        raise DerivationError("derivation is over a different algebra")
-    mu = d.mu
+    A, mu = d.algebra, d.mu
     degrees = range(-degree_bound, degree_bound + 1)
     # column t*(poly_bound+1) + j is h^j X_k for the t-th degree k
     columns = [
-        _generator_coordinates(_commutators(A.monomial(k, Poly.monomial(1, j)), A, mu))
+        _generator_coordinates(_commutators(A.monomial(k, Poly.monomial(1, j)), mu))
         for k in degrees
         for j in range(poly_bound + 1)
     ]
@@ -576,7 +567,5 @@ def derivation_through_symmetry(d: SkewDerivation) -> SkewDerivation:
     The conjugated twist is degree-counting of coarseness mu^{-1}, and the
     generator values swap and transport coefficientwise.
     """
-    (image, on_h), (_, on_x), (_, on_y) = (
-        xy_symmetry(d.algebra, e) for e in (d.on_h, d.on_y, d.on_x)
-    )
-    return verified_derivation(image, 1 / d.mu, on_h, on_x, on_y)
+    on_h, on_x, on_y = (xy_symmetry(e) for e in (d.on_h, d.on_y, d.on_x))
+    return verified_derivation(1 / d.mu, on_h, on_x, on_y)

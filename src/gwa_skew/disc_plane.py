@@ -84,7 +84,7 @@ def h_power_derivation(
     hd = Poly.monomial(1, d)
     on_x = A.element({-j: hd * c for j, c in enumerate(y_coeffs)})
     on_y = A.element({i: hd * c for i, c in enumerate(x_coeffs)})
-    return derivation_from_xy(A, mu, on_x, on_y)
+    return derivation_from_xy(mu, on_x, on_y)
 
 
 # -- monomial basis y^m x^n -------------------------------------------------
@@ -113,16 +113,14 @@ def _expand_in_stairs(r: Poly, A: GwaAlgebra, shift: int) -> dict[int, Fraction]
     return coords
 
 
-def to_monomial_basis(e: GwaElement, A: GwaAlgebra) -> dict[tuple[int, int], Fraction]:
-    """Coordinates of an element in the K-basis {y^m x^n}."""
+def to_monomial_basis(e: GwaElement) -> dict[tuple[int, int], Fraction]:
+    """Coordinates of an element in the K-basis {y^m x^n}: the degree-k term
+    expands into the monomials y^{m+shift} x^{m+k+shift}, shift = max(-k, 0)."""
     out: dict[tuple[int, int], Fraction] = {}
     for k, r in e.terms.items():
-        if k >= 0:
-            for m, c in _expand_in_stairs(r, A, 0).items():
-                out[(m, m + k)] = c
-        else:
-            for m, c in _expand_in_stairs(r, A, -k).items():
-                out[(m - k, m)] = c
+        shift = max(-k, 0)
+        for m, c in _expand_in_stairs(r, e.algebra, shift).items():
+            out[(m + shift, m + k + shift)] = c
     return {key: c for key, c in out.items() if c != 0}
 
 
@@ -189,10 +187,10 @@ def build_sigma_q(data: SigmaQData, A: GwaAlgebra) -> SkewDerivation:
     """The coarseness-q derivation with the given free parameters, with d(h)
     forced by d(a) and the result checked against the defining relations."""
     q = _require_disc_or_plane(A)
-    return derivation_from_xy(A, q, *_sigma_q_values(data, A, q))
+    return derivation_from_xy(q, *_sigma_q_values(data, A, q))
 
 
-def classify_sigma_q(d: SkewDerivation, A: GwaAlgebra) -> SigmaQData:
+def classify_sigma_q(d: SkewDerivation) -> SigmaQData:
     """Read the free parameters back off a coarseness-q derivation.
 
     alpha and g are read off d(x) and f off the pure-x part of d(y), so the
@@ -202,20 +200,21 @@ def classify_sigma_q(d: SkewDerivation, A: GwaAlgebra) -> SigmaQData:
     rebuild, so the relations are checked again only for an unverified d.
     A successful return is a certified round trip.
     """
+    A = d.algebra
     q = _require_disc_or_plane(A)
     if d.mu != q:
         raise ClassificationError(f"coarseness {d.mu} is not q = {q}")
-    x_coords = to_monomial_basis(d.on_x, A)
+    x_coords = to_monomial_basis(d.on_x)
     alpha = {(m, n): c for (m, n), c in x_coords.items() if n > 0}
     g = {m: c for (m, n), c in x_coords.items() if n == 0}
-    f = {n: c for (m, n), c in to_monomial_basis(d.on_y, A).items() if m == 0}
+    f = {n: c for (m, n), c in to_monomial_basis(d.on_y).items() if m == 0}
     to_seq = lambda d_: tuple(d_.get(i, Fraction(0)) for i in range(max(d_, default=-1) + 1))
     data = SigmaQData(alpha, to_seq(f), to_seq(g))
     on_x, on_y = _sigma_q_values(data, A, q)
     if on_y != d.on_y:
         raise ClassificationError(f"d(y) = {d.on_y} differs from reconstruction {on_y}")
     if not d.verified:
-        derivation_from_xy(A, q, on_x, on_y)
+        derivation_from_xy(q, on_x, on_y)
     return data
 
 

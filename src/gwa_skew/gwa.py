@@ -116,21 +116,15 @@ class GwaAlgebra:
     # -- product of basis monomials --------------------------------------
 
     def _cross(self, j: int, k: int) -> Poly:
-        """Coefficient of X_j * X_k = c * X_{j+k} from the defining relations."""
-        if j >= 0 and k >= 0 or j <= 0 and k <= 0:
-            return Poly.one()
-        if j > 0:  # x^m * y^n
-            m, n = j, -k
-            t = min(m, n)
-            out = Poly.one()
-            for i in range(m - t + 1, m + 1):
-                out = out * self.phi.apply(self.a, i)
-            return out
-        # y^n * x^m
-        n, m = -j, k
-        t = min(m, n)
+        """Coefficient of X_j * X_k = c * X_{j+k} from the defining relations:
+        the product of phi^i(a) over t = min(|j|, |k|) consecutive i, which end
+        at j for x^j * y^{-k} (j > 0) and start at j + 1 for y^{-j} * x^k (j < 0)."""
         out = Poly.one()
-        for i in range(-n + 1, -n + t + 1):
+        if j * k >= 0:
+            return out
+        t = min(abs(j), abs(k))
+        start = j - t + 1 if j > 0 else j + 1
+        for i in range(start, start + t):
             out = out * self.phi.apply(self.a, i)
         return out
 
@@ -313,13 +307,11 @@ def symmetric_algebra(A: GwaAlgebra) -> GwaAlgebra:
     return GwaAlgebra(A.phi.apply(A.a), A.phi.inverse())
 
 
-def xy_symmetry(A: GwaAlgebra, e: GwaElement) -> tuple[GwaAlgebra, GwaElement]:
+def xy_symmetry(e: GwaElement) -> GwaElement:
     """Algebra isomorphism swapping x and y, identity on K[h].
 
-    Maps A = K[h](a, phi) onto K[h](phi(a), phi^{-1}); on normal forms it
-    negates the degree map and keeps the left coefficients.
+    Maps A = K[h](a, phi) onto K[h](phi(a), phi^{-1}), the algebra of the
+    image; on normal forms it negates the degree map and keeps the left
+    coefficients.
     """
-    if e.algebra != A:
-        raise AlgebraMismatch("element does not belong to the given algebra")
-    image = symmetric_algebra(A)
-    return image, GwaElement(image, {-k: p for k, p in e.terms.items()})
+    return GwaElement(symmetric_algebra(e.algebra), {-k: p for k, p in e.terms.items()})

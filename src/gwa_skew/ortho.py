@@ -140,10 +140,7 @@ def _coprime_witness(left: Poly, right: Poly) -> BezoutWitness:
 
 
 def _row_triples(
-    row_d: SkewDerivation,
-    companions: list[SkewDerivation],
-    gen_deg: int,
-    A: GwaAlgebra,
+    row_d: SkewDerivation, companions: list[SkewDerivation], gen_deg: int
 ) -> list[tuple[GwaElement, GwaElement, GwaElement]]:
     """Flanked witnesses expressing 1 through row_d while killing companions.
 
@@ -152,7 +149,7 @@ def _row_triples(
     sign of the degrees carried by the row values, and flanks are powers of
     the designated generator (signed degree -side * power).
     """
-    side = -gen_deg
+    A, side = row_d.algebra, -gen_deg
     gen_x, gen_y = A.x(), A.y()
     designated = gen_y if gen_deg < 0 else gen_x
     other = gen_x if gen_deg < 0 else gen_y
@@ -284,7 +281,7 @@ def certificate_from_ideal(
         else:
             raise CertificateError("designated elements must be the generators x or y")
         companions = [dk for k, dk in enumerate(system) if k != i]
-        triples = _row_triples(d, companions, gen_deg, A)
+        triples = _row_triples(d, companions, gen_deg)
         rows.append(tuple(triples_to_pairs(triples, d.mu)))
     cert = OrthoCertificate(tuple(rows))
     check = verify_certificate(cert, system, A)
@@ -475,13 +472,11 @@ def disc_pair(
     A = GwaAlgebra.disc(q)
     one_minus_h = Poly([1, -1])
     d = derivation_from_xy(
-        A,
         q,
         A.monomial(n, Poly.const(c)),
         A.monomial(n - 2, -q * q_int(n, q) * c * one_minus_h),
     )
     dbar = derivation_from_xy(
-        A,
         q,
         A.monomial(-(m - 2), (-q_int(m, q) * cbar / q) * Poly([1, -(q ** (2 - m))])),
         A.monomial(-m, Poly.const(cbar)),

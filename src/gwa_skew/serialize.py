@@ -162,7 +162,6 @@ def derivation_from_json(doc, A: GwaAlgebra) -> SkewDerivation:
         if key not in doc:
             raise SchemaError(f"derivation document is missing {key!r}")
     return SkewDerivation(
-        A,
         rat_from_json(doc["mu"]),
         element_from_json(doc["on_h"], A),
         element_from_json(doc["on_x"], A),

@@ -179,6 +179,21 @@ GOLDEN = [
         2,
         '{"error":{"detail":"operation is specific to the disc/plane presets","kind":"invalid-input"}}\n',
     ),
+    ("lemma52", ["--q=2", "--n=0"], "", 2, '{"error":{"detail":"--n must be >= 1","kind":"schema"}}\n'),
+    (
+        "ortho-build",
+        DISC2,
+        '{"derivations":[' + D + "]}",
+        2,
+        '{"error":{"detail":"expected a b_list array of designated generators","kind":"schema"}}\n',
+    ),
+    (
+        "ortho-verify",
+        DISC2,
+        '{"derivations":[' + D + "]}",
+        2,
+        '{"error":{"detail":"expected a certificate field","kind":"schema"}}\n',
+    ),
 ]
 
 

@@ -67,14 +67,14 @@ def test_twisted_leibniz_rule_holds():
 
 def test_check_relations_accepts_diagonal_family():
     rep = check_relations(
-        DISC2, F(2), DISC2.zero(), DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly([0, -1]))
+        F(2), DISC2.zero(), DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly([0, -1]))
     )
     assert rep.ok and rep.derivation.verified
 
 
 def test_check_relations_rejects_flipped_sign():
     rep = check_relations(
-        DISC2, F(2), DISC2.zero(), DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly.h())
+        F(2), DISC2.zero(), DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly.h())
     )
     assert not rep.ok and rep.derivation is None
     # every failed relation is listed, with its residual
@@ -85,7 +85,7 @@ def test_check_relations_rejects_flipped_sign():
 
 
 def test_check_relations_accepts_zero_map():
-    rep = check_relations(DISC2, F(2), DISC2.zero(), DISC2.zero(), DISC2.zero())
+    rep = check_relations(F(2), DISC2.zero(), DISC2.zero(), DISC2.zero())
     assert rep.ok
 
 
@@ -142,8 +142,8 @@ def test_on_poly_matches_leibniz_fold(A):
         on_h = A.element({k: random_poly(rng, 2, nonzero=True) for k in weights})
         mu = random_fraction(rng, nonzero=True)
         on_x, on_y = random_element(rng, A), random_element(rng, A)
-        d = SkewDerivation(A, mu, on_h, on_x, on_y)
-        unverified += not check_relations(A, mu, on_h, on_x, on_y).ok
+        d = SkewDerivation(mu, on_h, on_x, on_y)
+        unverified += not check_relations(mu, on_h, on_x, on_y).ok
         for _ in range(3):
             p = random_poly(rng, 5)
             assert d._on_poly(p) == leibniz_fold(d, p)
@@ -221,7 +221,7 @@ def test_constructor_random_sweep_has_zero_residuals(rng):
             for _ in range(30):
                 data = random_weight_data(rng, A, q)
                 d = build_derivation(data, A)
-                rep = check_relations(A, d.mu, d.on_h, d.on_x, d.on_y)
+                rep = check_relations(d.mu, d.on_h, d.on_x, d.on_y)
                 assert rep.ok
                 count += 1
     assert count == 120
@@ -309,9 +309,9 @@ def test_weight_data_equality_ignores_zero_alphas():
 def test_skew_derivation_equality_compares_verified():
     d = build_derivation(WeightData(F(2), {1: Poly.one()}), DISC2)
     assert d.verified
-    assert d == SkewDerivation(d.algebra, d.mu, d.on_h, d.on_x, d.on_y, verified=True)
-    assert d != SkewDerivation(d.algebra, d.mu, d.on_h, d.on_x, d.on_y)
-    assert d != SkewDerivation(d.algebra, F(3), d.on_h, d.on_x, d.on_y, verified=True)
+    assert d == SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y, verified=True)
+    assert d != SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y)
+    assert d != SkewDerivation(F(3), d.on_h, d.on_x, d.on_y, verified=True)
 
 
 # -- classification ---------------------------------------------------------------
@@ -319,17 +319,17 @@ def test_skew_derivation_equality_compares_verified():
 
 def test_classify_positive_recovers_weight_one():
     data = WeightData(F(2), {1: Poly.one()})
-    assert classify_positive(build_derivation(data, DISC2), DISC2) == data
+    assert classify_positive(build_derivation(data, DISC2)) == data
 
 
 def test_classify_positive_rejects_nonzero_on_x():
     d = diagonal_derivation(Poly.one(), F(2), DISC2)
     with pytest.raises(ClassificationError, match="d\\(x\\)"):
-        classify_positive(d, DISC2)
+        classify_positive(d)
 
 
 def test_classify_positive_zero_derivation():
-    data = classify_positive(SkewDerivation.zero(DISC2, F(2)), DISC2)
+    data = classify_positive(SkewDerivation.zero(DISC2, F(2)))
     assert data == WeightData(F(2), {})
 
 
@@ -340,7 +340,7 @@ def test_classify_positive_round_trip_random(rng):
             A = GwaAlgebra.disc(q) if label == "disc" else GwaAlgebra.plane(q)
             data = random_weight_data(rng, A, q, positive_only=True, with_bc=False)
             d = build_derivation(data, A)
-            assert classify_positive(d, A) == data
+            assert classify_positive(d) == data
 
 
 def test_classify_positive_verifies_only_unverified_input(monkeypatch):
@@ -354,10 +354,10 @@ def test_classify_positive_verifies_only_unverified_input(monkeypatch):
     data = WeightData(F(2), {1: Poly.one(), 3: Poly([F(-1, 2)])})
     d = build_derivation(data, DISC2)
     assert d.verified and len(calls) == 1
-    assert classify_positive(d, DISC2) == data
+    assert classify_positive(d) == data
     assert len(calls) == 1
-    unverified = SkewDerivation(DISC2, d.mu, d.on_h, d.on_x, d.on_y, verified=False)
-    assert classify_positive(unverified, DISC2) == data
+    unverified = SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y, verified=False)
+    assert classify_positive(unverified) == data
     assert len(calls) == 2
 
 
@@ -367,7 +367,7 @@ def test_classify_negative_through_symmetry(rng):
     d = build_derivation(data, DISC2)
     assert d.on_y.is_zero()
     mirrored = derivation_through_symmetry(d)
-    recovered = classify_positive(mirrored, mirrored.algebra)
+    recovered = classify_positive(mirrored)
     assert recovered.alphas == {2: Poly.one()}
     assert recovered.mu == F(1, 2)
 
@@ -512,7 +512,7 @@ def finite_order_oracle(data: FiniteOrderData, A: GwaAlgebra) -> SkewDerivation:
         coeff = (alpha.apply(phi.apply(A.a), A) - phi.apply(c_n * A.a)) * (1 / mu)
         on_x = on_x + A.monomial(-(n * D - 1), coeff)
         on_y = on_y + A.monomial(-(n * D + 1), c_n)
-    return verified_derivation(A, mu, on_h, on_x, on_y)
+    return verified_derivation(mu, on_h, on_x, on_y)
 
 
 def random_finite_order_alpha(rng, centre: Fraction, parity: int | None) -> Poly:
@@ -580,7 +580,7 @@ def test_finite_order_d1_agrees_with_weighted_constructor():
 def test_inner_witness_recovers_commutator():
     b = DISC2.monomial(1, Poly.h())
     d = inner_derivation(b, DISC2, F(2))
-    w = inner_witness(d, DISC2, degree_bound=2, poly_bound=2)
+    w = inner_witness(d, degree_bound=2, poly_bound=2)
     assert w is not None
     rebuilt = inner_derivation(w, DISC2, F(2))
     assert (rebuilt.on_h, rebuilt.on_x, rebuilt.on_y) == (d.on_h, d.on_x, d.on_y)
@@ -588,11 +588,11 @@ def test_inner_witness_recovers_commutator():
 
 def test_inner_witness_diagonal_scalar_case():
     d = diagonal_derivation(Poly.one(), F(2), DISC2)
-    assert inner_witness(d, DISC2, 2, 2) == DISC2.from_scalar(-2)
+    assert inner_witness(d, 2, 2) == DISC2.from_scalar(-2)
 
 
 def test_inner_witness_zero_derivation():
-    assert inner_witness(SkewDerivation.zero(DISC2, F(2)), DISC2, 1, 1) == DISC2.zero()
+    assert inner_witness(SkewDerivation.zero(DISC2, F(2)), 1, 1) == DISC2.zero()
 
 
 def test_inner_witness_detects_inner_weighted_pieces(rng):
@@ -605,7 +605,7 @@ def test_inner_witness_detects_inner_weighted_pieces(rng):
         s = Poly.monomial(gamma, e)
         alpha_on_h = s * (DISC2.phi.apply(Poly.h(), m) - Poly.h())
         d = elementary_derivation(m, alpha_on_h, DISC2, mu)
-        w = inner_witness(d, DISC2, degree_bound=m + 1, poly_bound=e + 2)
+        w = inner_witness(d, degree_bound=m + 1, poly_bound=e + 2)
         assert w is not None
         # the degree-m component of any witness must itself witness alpha_m
         s_m = w.coeff(m)
@@ -618,4 +618,4 @@ def test_inner_witness_rejects_non_inner_pieces(rng):
         m = rng.randint(1, 3)
         gamma = random_fraction(rng, nonzero=True)
         d = elementary_derivation(m, Poly.const(gamma), DISC2, q)
-        assert inner_witness(d, DISC2, degree_bound=m + 2, poly_bound=4) is None
+        assert inner_witness(d, degree_bound=m + 2, poly_bound=4) is None

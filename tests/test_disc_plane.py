@@ -66,7 +66,7 @@ def test_monomial_basis_round_trip(rng):
             e = A.zero()
             for (m, n), c in coords.items():
                 e = e + c * yx_monomial(A, m, n)
-            back = to_monomial_basis(e, A)
+            back = to_monomial_basis(e)
             pruned = {k: c for k, c in coords.items() if c != 0}
             # duplicate keys collapse before comparison
             assert back == {k: c for k, c in pruned.items()}
@@ -162,7 +162,7 @@ def test_build_sigma_q_random_data_verifies(rng):
                 )
                 d = build_sigma_q(data, A)
                 assert d.verified
-                rep = check_relations(A, d.mu, d.on_h, d.on_x, d.on_y)
+                rep = check_relations(d.mu, d.on_h, d.on_x, d.on_y)
                 assert rep.ok
 
 
@@ -177,7 +177,7 @@ def test_classify_sigma_q_round_trip(rng):
                 f=tuple(random_fraction(rng) for _ in range(rng.randint(0, 4))),
                 g=tuple(random_fraction(rng) for _ in range(rng.randint(0, 3))),
             )
-            assert classify_sigma_q(build_sigma_q(data, A), A) == data
+            assert classify_sigma_q(build_sigma_q(data, A)) == data
 
 
 def test_classify_sigma_q_verifies_only_unverified_input(monkeypatch):
@@ -191,15 +191,15 @@ def test_classify_sigma_q_verifies_only_unverified_input(monkeypatch):
     data = SigmaQData({(0, 1): F(1), (1, 2): F(-3, 2)}, f=(F(2),), g=(F(0), F(1)))
     d = build_sigma_q(data, DISC2)
     assert d.verified and len(calls) == 1
-    assert classify_sigma_q(d, DISC2) == data
+    assert classify_sigma_q(d) == data
     assert len(calls) == 1
-    unverified = SkewDerivation(DISC2, d.mu, d.on_h, d.on_x, d.on_y, verified=False)
-    assert classify_sigma_q(unverified, DISC2) == data
+    unverified = SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y, verified=False)
+    assert classify_sigma_q(unverified) == data
     assert len(calls) == 2
 
 
 def test_classify_sigma_q_zero():
-    data = classify_sigma_q(SkewDerivation.zero(DISC2, F(2)), DISC2)
+    data = classify_sigma_q(SkewDerivation.zero(DISC2, F(2)))
     assert data.is_zero() and data.M == 0 and data.N == 0
 
 
@@ -207,15 +207,15 @@ def test_classify_sigma_q_rejects_broken_constraint():
     # d(x) = x forces d(y) = -2y: +2y is off the forced coefficient at (1, 0),
     # and d(y) = 0 misses it
     for on_y in (DISC2.monomial(-1, Poly([2])), DISC2.zero()):
-        cand = SkewDerivation(DISC2, F(2), DISC2.zero(), DISC2.x(), on_y)
+        cand = SkewDerivation(F(2), DISC2.zero(), DISC2.x(), on_y)
         with pytest.raises(ClassificationError, match="y"):
-            classify_sigma_q(cand, DISC2)
+            classify_sigma_q(cand)
 
 
 def test_classify_sigma_q_needs_coarseness_q():
     d = diagonal_derivation(Poly.one(), F(3), DISC2)  # mu = 3 != q = 2
     with pytest.raises(ClassificationError, match="coarseness"):
-        classify_sigma_q(d, DISC2)
+        classify_sigma_q(d)
 
 
 def test_diagonal_matches_sigma_q_diagonal_pattern(rng):

@@ -13,13 +13,16 @@ from gwa_skew import (
     SkewDerivation,
     certificate_from_ideal,
     disc_pair,
+    elementary_derivation,
     elementary_pair,
+    inner_derivation,
     pair_conditions,
     q_int,
     q_kl,
     triples_to_pairs,
     verify_certificate,
 )
+from gwa_skew.ortho import _row_triples
 from gwa_skew.poly import Poly, extended_gcd
 
 F = Fraction
@@ -194,6 +197,32 @@ def test_triples_with_polynomial_flank():
     for pa, pb in pairs:
         total = total + pa * d(pb)
     assert total == direct
+
+
+@pytest.mark.parametrize(
+    "row, companion",
+    [
+        # the companion kills y, so its coefficient on the other generator is 0
+        (
+            inner_derivation(DISC2.y(3), DISC2, F(2)),
+            elementary_derivation(-1, Poly.one(), DISC2, F(2)),
+        ),
+        # the row kills y, so its power there is inferred as e1 = e2 + 2
+        (
+            elementary_derivation(-3, Poly.one(), DISC2, F(2)),
+            inner_derivation(DISC2.x(), DISC2, F(2)),
+        ),
+    ],
+    ids=["companion-kills-other", "row-kills-other"],
+)
+def test_paired_row_is_one_on_its_derivation_and_zero_on_the_companion(row, companion):
+    # x designated: the paired route mixes the row values on x and y
+    pairs = triples_to_pairs(_row_triples(row, [companion], 1), row.mu)
+
+    def total(d):
+        return sum((a * d(b) for a, b in pairs), DISC2.zero())
+
+    assert (total(row), total(companion)) == (DISC2.one(), DISC2.zero())
 
 
 # -- ratio values and conditions ---------------------------------------------------------

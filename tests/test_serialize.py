@@ -100,7 +100,6 @@ def test_derivation_round_trip_drops_the_verified_flag(A, rng):
 
     for verified in (False, True):
         d = SkewDerivation(
-            A,
             random_fraction(rng, nonzero=True),
             random_element(rng, A),
             random_element(rng, A),
@@ -112,7 +111,7 @@ def test_derivation_round_trip_drops_the_verified_flag(A, rng):
         # A document never vouches for itself: parsing always yields an
         # unverified candidate for the relation check.
         back = ser.derivation_from_json(json.loads(ser.dumps(doc)), A)
-        assert back == SkewDerivation(d.algebra, d.mu, d.on_h, d.on_x, d.on_y)
+        assert back == SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y)
 
 
 def test_weight_data_round_trip(rng):
@@ -165,7 +164,80 @@ MALFORMED = [
         {"entries": [{"index": 1, "pairs": [{"a": Y}]}]},
         "bad certificate pair",
     ),
+    (ser.rat_from_json, 5, "expected a fraction string, got 5"),
+    (ser.rat_from_json, "abc", "bad fraction 'abc'"),
+    (ser.poly_from_json, "1", "expected a coefficient array, got '1'"),
+    (ser.auto_from_json, {"u": "2", "w": "1"}, "expected {u, v}, got {'u': '2', 'w': '1'}"),
+    (ser.auto_from_json, {"u": "0"}, "bad automorphism: affine automorphism needs u != 0"),
+    (ser.algebra_from_json, {"q": "2"}, "algebra document needs a label"),
+    (ser.algebra_from_json, {"label": "disc"}, "preset 'disc' needs q"),
+    (ser.algebra_from_json, {"label": "plane", "q": "-1"}, "plane requires q not in {0, 1, -1}"),
+    (ser.algebra_from_json, {"label": "torus"}, "unknown label 'torus'"),
+    (ser.algebra_from_json, {"label": "custom", "a": ["1"]}, "custom algebras need both a and phi"),
+    (
+        ser.algebra_from_json,
+        {"label": "custom", "a": [], "phi": {"u": "2"}},
+        "central element a must be nonzero",
+    ),
+    (
+        ser.element_from_json,
+        {"terms": [{"deg": "1", "poly": ["1"]}]},
+        "term degree must be an integer, got '1'",
+    ),
+    (
+        ser.element_from_json,
+        {"terms": [{"deg": 1, "poly": ["1"]}, {"deg": 1, "poly": ["2"]}]},
+        "duplicate degree 1",
+    ),
+    (ser.derivation_from_json, [Y], "derivation document must be an object"),
+    (
+        ser.derivation_from_json,
+        {"mu": "2", "on_h": Y, "on_x": Y},
+        "derivation document is missing 'on_y'",
+    ),
+    (ser.weight_data_from_json, {"alphas": []}, "weight data needs mu"),
+    (ser.weight_data_from_json, {"mu": "2", "alphas": [5]}, "bad alpha entry 5"),
+    (
+        ser.weight_data_from_json,
+        {"mu": "2", "alphas": [{"weight": "1", "on_h": ["1"]}]},
+        "weight must be an integer, got '1'",
+    ),
+    (
+        ser.weight_data_from_json,
+        {"mu": "2", "alphas": [{"weight": 1, "on_h": ["1"]}, {"weight": 1, "on_h": ["2"]}]},
+        "duplicate weight 1",
+    ),
+    (ser.sigma_q_data_from_json, ["1"], "sigma-q data must be an object"),
+    (ser.sigma_q_data_from_json, {"alpha": [{"m": 0, "n": 1}]}, "bad alpha entry {'m': 0, 'n': 1}"),
+    (
+        ser.sigma_q_data_from_json,
+        {"alpha": [{"m": "0", "n": 1, "value": "1"}]},
+        "alpha indices must be integers",
+    ),
+    (
+        ser.sigma_q_data_from_json,
+        {"alpha": [{"m": 0, "n": 1, "value": "1"}, {"m": 0, "n": 1, "value": "2"}]},
+        "duplicate alpha index (0, 1)",
+    ),
+    (
+        ser.sigma_q_data_from_json,
+        {"alpha": [{"m": -1, "n": 1, "value": "1"}]},
+        "alpha index (-1, 1) out of range",
+    ),
+    (
+        ser.sigma_q_data_from_json,
+        {"alpha": [{"m": 0, "n": 2, "value": "1"}], "N": 1},
+        "declared N = 1 is below the required 2",
+    ),
+    (ser.certificate_from_json, {"rows": []}, "certificate document needs entries"),
+    (
+        ser.certificate_from_json,
+        {"entries": [{"index": 2, "pairs": []}]},
+        "certificate row indices must be 1..n",
+    ),
 ]
+# the parsers of documents that hold elements read them in a given algebra
+TAKES_ALGEBRA = {ser.element_from_json, ser.derivation_from_json, ser.certificate_from_json}
 
 
 @pytest.mark.parametrize(
@@ -174,9 +246,18 @@ MALFORMED = [
     ids=[
         "term-not-object", "term-without-poly", "element-without-terms", "entry-not-object",
         "entry-without-pairs", "index-zero", "index-duplicate", "pair-not-object", "pair-without-b",
+        "fraction-not-string", "fraction-bad-string", "poly-not-array", "auto-unknown-key",
+        "auto-u-zero", "algebra-without-label", "preset-without-q", "preset-q-unit",
+        "label-unknown", "custom-without-phi", "custom-a-zero", "term-degree-not-int",
+        "term-degree-duplicate", "derivation-not-object", "derivation-without-on-y",
+        "weights-without-mu", "weight-entry-not-object", "weight-not-int", "weight-duplicate",
+        "sigma-q-not-object", "sigma-q-entry-without-value", "sigma-q-index-not-int",
+        "sigma-q-index-duplicate", "sigma-q-index-negative", "sigma-q-declared-N-too-small",
+        "certificate-without-entries", "certificate-indices-not-1-to-n",
     ],
 )
 def test_malformed_document_raises_schema_error(parse, doc, message):
     # each check must fire on its own: one failing condition is enough
+    context = (ALGEBRAS[0],) if parse in TAKES_ALGEBRA else ()
     with pytest.raises(ser.SchemaError, match=re.escape(message)):
-        parse(doc, ALGEBRAS[0])
+        parse(doc, *context)

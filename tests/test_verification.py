@@ -37,6 +37,25 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def test_no_signature_takes_an_algebra_beside_an_element_or_derivation():
+    # a GwaElement or SkewDerivation carries its algebra, so a GwaAlgebra
+    # parameter next to one can only repeat it; list[...] parameters hold
+    # several subjects that must agree, and are not matched
+    def annotations(fn: ast.FunctionDef) -> set[str]:
+        params = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+        return {ast.unparse(p.annotation).strip("'\"") for p in params if p.annotation}
+
+    found = [
+        f"{path.name}:{node.lineno}:{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and "GwaAlgebra" in (names := annotations(node))
+        and names & {"GwaElement", "SkewDerivation"}
+    ]
+    assert found == []
+
+
 def test_only_poly_reads_the_fraction_view():
     # the library works on (num, den); `coeffs` is a view for callers outside it
     found = [
@@ -94,4 +113,4 @@ def test_inner_witness_raises_on_failed_reverification(monkeypatch):
     rebuild_zero = lambda b, A, mu: SkewDerivation.zero(A, mu)
     monkeypatch.setattr(derivations, "inner_derivation", rebuild_zero)
     with pytest.raises(ArithmeticError):
-        inner_witness(d, A, 1, 1)
+        inner_witness(d, 1, 1)
