@@ -36,7 +36,7 @@ from .derivations import (
     build_derivation,
     derivation_from_xy,
 )
-from .gwa import GwaAlgebra, GwaElement, sigma_mu
+from .gwa import GwaAlgebra, GwaElement, _cross, sigma_mu
 from .poly import Poly
 
 
@@ -97,7 +97,7 @@ def yx_monomial(A: GwaAlgebra, m: int, n: int) -> GwaElement:
 
 def _stair_poly(A: GwaAlgebra, m: int, shift: int) -> Poly:
     """Normal-form coefficient of y^{m+shift} x^m: phi^{-shift}(y^m x^m)."""
-    return A.phi.apply(A._cross(-m, m), -shift)
+    return A.phi.apply(_cross(A, -m, m), -shift)
 
 
 def _expand_in_stairs(r: Poly, A: GwaAlgebra, shift: int) -> dict[int, Fraction]:

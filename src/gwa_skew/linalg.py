@@ -79,7 +79,9 @@ def _blocks(matrix: list[list[Fraction]]) -> tuple[list[tuple[list[int], list[in
             parent[c] = c = parent[parent[c]]
         return c
 
-    supports = [[c for c, v in enumerate(row) if v] for row in matrix]
+    # nearly every zero is the `_ZERO` that `assemble` fills in: an identity
+    # test skips it without `Fraction.__bool__`, and `v` catches any other zero
+    supports = [[c for c, v in enumerate(row) if v is not _ZERO and v] for row in matrix]
     for support in supports:
         if support:
             root = find(support[0])

@@ -13,6 +13,8 @@ from gwa_skew import (
     sigma_mu,
     xy_symmetry,
 )
+from gwa_skew import serialize as ser
+from gwa_skew.gwa import _CROSS_MEMO_SIZE, _cross
 from gwa_skew.poly import AffineAuto, Poly
 from rewrite_oracle import oracle_mul, reduce_word, word_of
 
@@ -164,6 +166,68 @@ def test_graded_degree_additive_under_mul():
             if prod.is_zero():
                 continue
             assert graded_degree(G, prod) == graded_degree(G, e1) + graded_degree(G, e2)
+
+
+# -- memoized monomial products ------------------------------------------------
+
+
+def cross_loop(A: GwaAlgebra, j: int, k: int) -> Poly:
+    """phi^m(a) ... phi^{m-t+1}(a) for x^m y^n, phi^{-n+1}(a) ... phi^{-n+t}(a)
+    for y^n x^m (t = min(m, n)), and 1 when j, k have the same sign."""
+    if j > 0 > k:
+        t = min(j, -k)
+        exponents = range(j - t + 1, j + 1)
+    elif j < 0 < k:
+        t = min(-j, k)
+        exponents = range(j + 1, j + t + 1)
+    else:
+        exponents = ()
+    out = Poly.one()
+    for i in exponents:
+        out = out * A.phi.apply(A.a, i)
+    return out
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        GwaAlgebra.disc(2),
+        GwaAlgebra.plane(Fraction(-3, 2)),
+        GwaAlgebra(Poly([3, 1, 1]), AffineAuto.scaling(Fraction(2, 3))),
+        GwaAlgebra(Poly([1, 0, 2]), AffineAuto(-1, Fraction(1, 2))),
+    ],
+    ids=["disc", "plane", "scaling", "shift"],
+)
+def test_cross_memo_matches_the_product_loop(A):
+    rng = rng_for(f"cross-memo:{A!r}")
+    pairs = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(60)]
+    pairs += [(0, 0), (0, 3), (-4, 0), (2, 5), (-3, -1), (4, -4), (-2, 6)]
+    for j, k in pairs:
+        assert _cross(A, j, k) == cross_loop(A, j, k)
+        assert _cross(A, j, k) == cross_loop(A, j, k)  # a memo hit
+        product = A.monomial(j, Poly.one()) * A.monomial(k, Poly.one())
+        assert product == A.monomial(j + k, cross_loop(A, j, k))
+
+
+def test_cross_memo_is_shared_by_equal_algebras():
+    doc = {"label": "custom", "a": ["5", "0", "-7", "1"], "phi": {"u": "-4/9", "v": "3"}}
+    lhs, rhs = {"terms": [{"deg": 5, "poly": ["1", "2"]}]}, {"terms": [{"deg": -3, "poly": ["1"]}]}
+
+    def product():
+        A = ser.algebra_from_json(doc)
+        return ser.element_from_json(lhs, A) * ser.element_from_json(rhs, A)
+
+    first = product()
+    before = _cross.cache_info()
+    second = product()
+    after = _cross.cache_info()
+    assert second == first
+    assert after.misses == before.misses and after.hits > before.hits
+
+
+def test_cross_memo_is_bounded():
+    assert type(_CROSS_MEMO_SIZE) is int and _CROSS_MEMO_SIZE > 0
+    assert _cross.cache_info().maxsize == _CROSS_MEMO_SIZE
 
 
 # -- x-y symmetry --------------------------------------------------------------

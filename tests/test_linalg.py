@@ -156,3 +156,16 @@ def test_assemble_rows_are_the_occurring_keys():
     assert matrix == [[0, 0], [0, 3], [h, h]]
     assert rhs == [5, 0, 0]
     assert linalg.assemble([{}, {}], {}) == ([], [])
+
+
+def test_blocks_find_zeros_that_are_not_the_shared_zero():
+    # `assemble` fills absent cells with one shared zero, which the support
+    # scan skips by identity; a zero built elsewhere must still read as zero
+    rng = random.Random("linalg:fresh-zeros")
+    for _ in range(50):
+        matrix, rhs, ncols, _ = random_system(rng)
+        shared = [[linalg._ZERO if v == 0 else v for v in row] for row in matrix]
+        fresh = [[Fraction(0) if v == 0 else v for v in row] for row in matrix]
+        assert linalg._blocks(shared) == linalg._blocks(fresh)
+        assert linalg.rank(shared) == linalg.rank(fresh) == to_sympy(matrix, ncols).rank()
+        assert linalg.solve(shared, rhs) == linalg.solve(fresh, rhs)

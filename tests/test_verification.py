@@ -37,6 +37,45 @@ def test_library_does_not_import_dataclasses():
     assert found == []
 
 
+def test_every_memo_is_bounded():
+    # a memo of input-derived values must not grow for as long as the process
+    # serves requests: `lru_cache` takes an explicit integer maxsize (a literal
+    # or a module constant), and `functools.cache` only memoizes a function of
+    # no arguments, which holds one value
+    seen, found = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        constants = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                call = dec if isinstance(dec, ast.Call) else None
+                kind = ast.unparse(call.func if call else dec).split(".")[-1]
+                if kind not in ("cache", "lru_cache"):
+                    continue
+                seen.append(f"{path.name}:{fn.name}")
+                if kind == "cache":
+                    bounded = call is None and not any(
+                        [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs, fn.args.vararg, fn.args.kwarg]
+                    )
+                else:
+                    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"] if call else []
+                    size = sizes[0] if sizes else None
+                    value = size.value if isinstance(size, ast.Constant) else constants.get(getattr(size, "id", None))
+                    bounded = type(value) is int and value > 0
+                if not bounded:
+                    found.append(f"{path.name}:{fn.lineno}:{fn.name}")
+    assert {"cli.py:build_parser", "gwa.py:_cross"} <= set(seen)
+    assert found == []
+
+
 def test_no_signature_takes_an_algebra_beside_an_element_or_derivation():
     # a GwaElement or SkewDerivation carries its algebra, so a GwaAlgebra
     # parameter next to one can only repeat it; list[...] parameters hold
