@@ -360,12 +360,8 @@ def _commutators(b: GwaElement, mu: Fraction) -> dict[str, GwaElement]:
     return {g: b * sigma_mu(e, mu) - e * b for g, e in generators}
 
 
-def inner_derivation(b, A: GwaAlgebra, mu: Fraction) -> SkewDerivation:
+def inner_derivation(b: GwaElement, mu: Fraction) -> SkewDerivation:
     """The twisted commutator d_b = b sigma_mu(.) - (.) b, restricted to generators."""
-    if isinstance(b, Poly):
-        b = A.from_poly(b)
-    if b.algebra != A:
-        raise DerivationError("witness element belongs to a different algebra")
     return verified_derivation(mu, *_commutators(b, mu).values())
 
 
@@ -552,7 +548,7 @@ def inner_witness(d: SkewDerivation, degree_bound: int, poly_bound: int) -> GwaE
     witness = A.element(
         {k: Poly(solution[t * n : (t + 1) * n]) for t, k in enumerate(degrees)}
     )
-    rebuilt = inner_derivation(witness, A, mu)
+    rebuilt = inner_derivation(witness, mu)
     if (rebuilt.on_h, rebuilt.on_x, rebuilt.on_y) != (d.on_h, d.on_x, d.on_y):
         raise ArithmeticError("inner witness fails re-verification")
     return witness

@@ -36,7 +36,7 @@ from .derivations import (
     build_derivation,
     derivation_from_xy,
 )
-from .gwa import GwaAlgebra, GwaElement, _cross, sigma_mu
+from .gwa import GwaAlgebra, GwaElement, _cross
 from .poly import Poly
 
 
@@ -225,18 +225,15 @@ def sigma_q_dimension(A: GwaAlgebra, M: int, N: int) -> int:
     Unknowns are the coordinates of d(x) and d(y) over {y^m x^n : m <= M,
     n <= N}; the single constraint is d(xy) - q d(yx) = 0, which is linear
     in the unknowns.  The free-parameter count is M*N + M + N + 2.
+
+    Since sigma_q(y) = q y and sigma_q(x) = q^{-1} x, the constraint reads
+    q [d(x), y] - [d(y), x] = 0.  A nonzero scale of a column leaves the
+    nullity alone, so the columns are the commutators [b, y] for the d(x)
+    unknowns b and [b, x] for the d(y) unknowns.
     """
-    q = _require_disc_or_plane(A)
-    x, y = A.x(), A.y()
-    sig_x, sig_y = sigma_mu(x, q), sigma_mu(y, q)
-    x_slots: list[GwaElement] = []
-    y_slots: list[GwaElement] = []
-    for m in range(M + 1):
-        for n in range(N + 1):
-            mono = yx_monomial(A, m, n)
-            x_slots.append(mono * sig_y - q * (y * mono))
-            y_slots.append(x * mono - q * (mono * sig_x))
-    columns = x_slots + y_slots
+    _require_disc_or_plane(A)
+    monomials = [yx_monomial(A, m, n) for m in range(M + 1) for n in range(N + 1)]
+    columns = [b * g - g * b for g in (A.y(), A.x()) for b in monomials]
     matrix, _ = linalg.assemble([col.coordinates() for col in columns], {})
     return linalg.nullspace_dimension(matrix, len(columns))
 

@@ -177,13 +177,6 @@ class GwaElement:
     def degrees(self) -> list[int]:
         return sorted(self.terms)
 
-    def single_term(self) -> tuple[int, Poly]:
-        """The (degree, coefficient) pair of a one-term element."""
-        if len(self.terms) != 1:
-            raise ValueError(f"not a single-term element: {self}")
-        [(k, p)] = self.terms.items()
-        return k, p
-
     def poly_part(self) -> Poly:
         """The degree-0 coefficient; element must live in K[h]."""
         if any(k != 0 for k in self.terms):

@@ -10,7 +10,8 @@ re-evaluates every sum with exact arithmetic.  The constructor
 `certificate_from_ideal` builds a certificate row by row from a designated
 generator b_i in {x, y} per derivation:
 
-  * when every other derivation kills b_i, the row value v = d_i(b_i) is a
+  * when every other derivation kills a generator g (b_i first, then the
+    other generator), the row is built on g: the row value v = d_i(g) is a
     single term p(h) * x^e (or the y-side mirror); multiplying by y^e on
     the left and on the right lands two polynomials in K[h], and a Bezout
     identity between them (they must be coprime) produces the witnesses;
@@ -18,6 +19,9 @@ generator b_i in {x, y} per derivation:
     flanked values of d_i on BOTH generators, with the flank coefficients
     chosen so that the combination annihilates the companion derivation;
     the two landed polynomials again feed the extended Euclidean algorithm.
+
+Every row and companion value read must be a single term; one with more
+terms is a `CertificateError`, like any other shape outside these routes.
 
 Intermediate witnesses with a right-hand flank c are turned into plain
 pairs via the twisted Leibniz rule:
@@ -123,12 +127,6 @@ def triples_to_pairs(
 # -- row construction ---------------------------------------------------------
 
 
-def _single_term_or_zero(e: GwaElement) -> tuple[int, Poly] | None:
-    if e.is_zero():
-        return None
-    return e.single_term()
-
-
 def _coprime_witness(left: Poly, right: Poly) -> BezoutWitness:
     """Bezout witness of two landed polynomials; raises unless they are coprime."""
     witness = extended_gcd(left, right)
@@ -137,6 +135,19 @@ def _coprime_witness(left: Poly, right: Poly) -> BezoutWitness:
             f"landed polynomials are not coprime (gcd = {witness.g})", gcd=witness.g
         )
     return witness
+
+
+def _single_term(value: GwaElement, side: int, whose: str) -> tuple[Poly, int] | None:
+    """Coefficient and power of a one-term value whose degree has the sign
+    `side` or is 0, or None when the value is zero."""
+    if value.is_zero():
+        return None
+    if len(value.terms) != 1:
+        raise CertificateError(f"{whose} value has more than one term: {value}")
+    [(deg, p)] = value.terms.items()
+    if deg * side < 0:
+        raise CertificateError(f"{whose} value lies on the wrong side")
+    return p, abs(deg)
 
 
 def _row_triples(
@@ -148,43 +159,41 @@ def _row_triples(
     on the y side) and -1 for y (row values on the x side); `side` is the
     sign of the degrees carried by the row values, and flanks are powers of
     the designated generator (signed degree -side * power).
+
+    The row is built on the first generator g, the designated one and then
+    the other, that every companion kills: the row value on g is flanked on
+    either side.  When no such g exists, the paired route mixes the row
+    values on both generators; it needs a single companion, nonzero on both.
+    A row or companion value with more than one term raises CertificateError.
     """
     A, side = row_d.algebra, -gen_deg
-    gen_x, gen_y = A.x(), A.y()
-    designated = gen_y if gen_deg < 0 else gen_x
-    other = gen_x if gen_deg < 0 else gen_y
+    x, y = A.x(), A.y()
+    designated, other = (y, x) if gen_deg < 0 else (x, y)
 
-    def row_value(g: GwaElement) -> GwaElement:
-        return row_d.on_x if g == gen_x else row_d.on_y
+    def value(d: SkewDerivation, g: GwaElement) -> GwaElement:
+        return d.on_x if g is x else d.on_y
 
-    def landing_power(g: GwaElement) -> int | None:
-        """Power of the row value on g, measured on the landing side."""
-        term = _single_term_or_zero(row_value(g))
-        if term is None:
-            return None
-        deg, _ = term
-        if deg * side < 0:
-            raise CertificateError("row value lies on the wrong side")
-        return abs(deg)
+    def row_power(g: GwaElement) -> int | None:
+        term = _single_term(value(row_d, g), side, "row")
+        return None if term is None else term[1]
 
-    def flank_elem(power: int, coeff: Poly = Poly.one()) -> GwaElement:
+    def flank(power: int, coeff: Poly = Poly.one()) -> GwaElement:
         return A.monomial(-side * power, coeff)
 
-    pure = all(
-        (c.on_y if gen_deg < 0 else c.on_x).is_zero() for c in companions
-    )
-    if pure:
-        # Every companion kills the designated generator: a single flanked
-        # value of row_d on it suffices.
-        e = landing_power(designated)
+    killed = (g for g in (designated, other) if all(value(c, g).is_zero() for c in companions))
+    g = next(killed, None)
+    if g is not None:
+        e = row_power(g)
         if e is None:
-            raise CertificateError("row derivation kills its own designated generator")
-        left_triples = [(flank_elem(e), designated, A.one())]
-        right_triples = [(A.one(), designated, flank_elem(e))]
+            raise CertificateError(
+                "row derivation kills its own designated generator" if g is designated
+                else "row derivation kills the generator every companion kills"
+            )
+        left_triples = [(flank(e), g, A.one())]
+        right_triples = [(A.one(), g, flank(e))]
     else:
-        # Paired route: some companion keeps the designated generator alive, so
-        # the row combination must mix both generator values, with the flank
-        # coefficients tuned to cancel on the companion.
+        # Paired route: the flank coefficients of the two row values are
+        # tuned so that the combination cancels on the companion.
         if len(companions) != 1:
             raise CertificateError("combined cancellation only supports pairs")
         comp = companions[0]
@@ -192,63 +201,34 @@ def _row_triples(
             raise CertificateError(
                 "combined cancellation requires matching coarseness in the pair"
             )
-
-        def companion_data(g: GwaElement) -> tuple[Poly, int]:
-            """Coefficient and flank-side power of the companion value on g."""
-            value = comp.on_x if g == gen_x else comp.on_y
-            term = _single_term_or_zero(value)
-            if term is None:
-                return Poly.zero(), 0
-            deg, p = term
-            if deg * side > 0:
-                raise CertificateError("companion value lies on the wrong side")
-            return p, abs(deg)
-
-        e1 = landing_power(other)
-        e2 = landing_power(designated)
+        e1, e2 = row_power(other), row_power(designated)
         if e1 is not None and e2 is not None and e1 != e2 + 2:
             raise CertificateError("row powers are not aligned for cancellation")
-        q1, m1 = companion_data(other)
-        q2, m2 = companion_data(designated)
-        if not q1.is_zero() and not q2.is_zero() and m2 != m1 + 2:
+        # the companion kills neither generator, or the row would be built on one
+        (q1, m1), (q2, m2) = (
+            _single_term(value(comp, gen), -side, "companion") for gen in (other, designated)
+        )
+        if m2 != m1 + 2:
             raise CertificateError("companion powers are not aligned for cancellation")
-        if e1 is None and e2 is None:
-            raise CertificateError("row derivation vanishes on both generators")
+        if e2 is None:
+            raise CertificateError("row derivation kills its own designated generator")
         if e1 is None:
             e1 = e2 + 2
-        if e2 is None:
-            e2 = e1 - 2
-        if e2 < 0:
-            raise CertificateError("designated-generator value has too small a degree")
-        # q2 != 0 here: a vanishing companion value on the designated generator
-        # would have taken the pure route.
-        if q1.is_zero():
-            left_coeffs = (Poly.one(), Poly.zero())
-            right_data = ((Poly.one(), Poly.one()), (Poly.zero(), Poly.one()))
-        else:
-            left_coeffs = (
-                A.phi.apply(q2, -side * e2),
-                -A.phi.apply(q1, -side * e1),
-            )
-            common = extended_gcd(q1, q2).g
-            q1_red, q2_red = q1.exact_div(common), q2.exact_div(common)
-            right_data = (
-                (q2_red, Poly.one()),
-                (-Poly.one(), A.phi.apply(q1_red, side * m2)),
-            )
+        common = extended_gcd(q1, q2).g
+        q1_red, q2_red = q1.exact_div(common), q2.exact_div(common)
         left_triples = [
-            (flank_elem(e1, left_coeffs[0]), other, A.one()),
-            (flank_elem(e2, left_coeffs[1]), designated, A.one()),
+            (flank(e1, A.phi.apply(q2, -side * e2)), other, A.one()),
+            (flank(e2, -A.phi.apply(q1, -side * e1)), designated, A.one()),
         ]
         right_triples = [
-            (A.from_poly(right_data[0][0]), other, flank_elem(e1, right_data[0][1])),
-            (A.from_poly(right_data[1][0]), designated, flank_elem(e2, right_data[1][1])),
+            (A.from_poly(q2_red), other, flank(e1)),
+            (-A.one(), designated, flank(e2, A.phi.apply(q1_red, side * m2))),
         ]
 
     def landed(triples) -> Poly:
         total = A.zero()
         for a, g, c in triples:
-            total = total + a * row_value(g) * c
+            total = total + a * value(row_d, g) * c
         return total.poly_part()
 
     left_poly = landed(left_triples)
@@ -265,9 +245,12 @@ def certificate_from_ideal(
 ) -> OrthoCertificate:
     """Build a certificate from one designated generator per derivation.
 
-    b_list[i] must be the generator x or y.  Raises CertificateError when a
-    landing pair of polynomials fails to be coprime (the gcd is attached)
-    or when the system shape is outside the supported constructions.  The
+    b_list[i] must be the generator x or y.  A row is built on any generator
+    that all the other derivations kill, b_list[i] first; otherwise it
+    pairs both generators against a single companion.  Raises
+    CertificateError when a landing pair of polynomials fails to be coprime
+    (the gcd is attached), when a value it reads has more than one term, or
+    when the system shape is outside the supported constructions.  The
     returned certificate has been re-verified.
     """
     if len(b_list) != len(system):

@@ -31,6 +31,11 @@ SIGMA_Q = (
     '{"mu":"2","on_h":{"terms":[{"deg":1,"poly":["3/2","-2"]}]},"on_x":{"terms":[{"deg":2,"poly":["1"]}]},'
     '"on_y":{"terms":[{"deg":0,"poly":["-5","6"]}]},"verified":true}'
 )
+# The sum of the weight-1 and weight-2 derivations with alpha = 1: d(y) = -2 - 2x.
+TWO_TERM = (
+    '{"mu":"2","on_h":{"terms":[{"deg":1,"poly":["1"]},{"deg":2,"poly":["1"]}]},"on_x":{"terms":[]},'
+    '"on_y":{"terms":[{"deg":0,"poly":["-2"]},{"deg":1,"poly":["-2"]}]},"verified":true}'
+)
 Y = '{"terms":[{"deg":-1,"poly":["1"]}]}'
 CERT = '{"entries":[{"index":1,"pairs":[{"a":{"terms":[{"deg":0,"poly":["-1/2"]}]},"b":' + Y + "}]}]}"
 BAD_CERT = '{"entries":[{"index":1,"pairs":[{"a":{"terms":[{"deg":0,"poly":["-1"]}]},"b":' + Y + "}]}]}"
@@ -193,6 +198,15 @@ GOLDEN = [
         '{"derivations":[' + D + "]}",
         2,
         '{"error":{"detail":"expected a certificate field","kind":"schema"}}\n',
+    ),
+    # a well-formed row whose value d(y) has two terms is a certificate
+    # failure (exit 1), not malformed input
+    (
+        "ortho-build",
+        DISC2,
+        '{"b_list":[' + Y + '],"derivations":[' + TWO_TERM + "]}",
+        1,
+        '{"error":{"detail":"row value has more than one term: (-2) + (-2)*x","kind":"certificate"}}\n',
     ),
 ]
 

@@ -253,7 +253,7 @@ def test_elementary_families_match_displayed_forms():
     assert dm.on_x == DISC2.from_poly(DISC2.phi.apply(alpha.apply(DISC2.a, DISC2)))
     assert dm.on_y.is_zero()
     # the commutator family via a base-ring witness
-    db = inner_derivation(Poly.h(), DISC2, F(2))
+    db = inner_derivation(DISC2.h(), F(2))
     assert db.on_h.is_zero()
     assert db.on_x == DISC2.monomial(1, Poly([0, F(-3, 2)]))
     assert db.on_y == DISC2.monomial(-1, Poly([0, F(3, 2)]))
@@ -579,10 +579,10 @@ def test_finite_order_d1_agrees_with_weighted_constructor():
 
 def test_inner_witness_recovers_commutator():
     b = DISC2.monomial(1, Poly.h())
-    d = inner_derivation(b, DISC2, F(2))
+    d = inner_derivation(b, F(2))
     w = inner_witness(d, degree_bound=2, poly_bound=2)
     assert w is not None
-    rebuilt = inner_derivation(w, DISC2, F(2))
+    rebuilt = inner_derivation(w, F(2))
     assert (rebuilt.on_h, rebuilt.on_x, rebuilt.on_y) == (d.on_h, d.on_x, d.on_y)
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_fraction
+from conftest import random_fraction, rng_for
 from gwa_skew import (
     CertificateError,
     DerivationError,
     GwaAlgebra,
+    GwaElement,
     OrthoCertificate,
     SkewDerivation,
     certificate_from_ideal,
@@ -23,7 +24,7 @@ from gwa_skew import (
     verify_certificate,
 )
 from gwa_skew.ortho import _row_triples
-from gwa_skew.poly import Poly, extended_gcd
+from gwa_skew.poly import AffineAuto, Poly, extended_gcd
 
 F = Fraction
 DISC2 = GwaAlgebra.disc(2)
@@ -202,27 +203,214 @@ def test_triples_with_polynomial_flank():
 @pytest.mark.parametrize(
     "row, companion",
     [
-        # the companion kills y, so its coefficient on the other generator is 0
+        # the companion kills y, the other generator, so the row is built on y
+        # alone (the lone-generator route)
         (
-            inner_derivation(DISC2.y(3), DISC2, F(2)),
+            inner_derivation(DISC2.y(3), F(2)),
             elementary_derivation(-1, Poly.one(), DISC2, F(2)),
         ),
         # the row kills y, so its power there is inferred as e1 = e2 + 2
         (
             elementary_derivation(-3, Poly.one(), DISC2, F(2)),
-            inner_derivation(DISC2.x(), DISC2, F(2)),
+            inner_derivation(DISC2.x(), F(2)),
         ),
     ],
     ids=["companion-kills-other", "row-kills-other"],
 )
 def test_paired_row_is_one_on_its_derivation_and_zero_on_the_companion(row, companion):
     # x designated: the paired route mixes the row values on x and y
+    # (row-kills-other); companion-kills-other takes the lone-generator route
     pairs = triples_to_pairs(_row_triples(row, [companion], 1), row.mu)
 
     def total(d):
         return sum((a * d(b) for a, b in pairs), DISC2.zero())
 
     assert (total(row), total(companion)) == (DISC2.one(), DISC2.zero())
+
+
+def row_triples_oracle(
+    row_d: SkewDerivation, companions: list[SkewDerivation], gen_deg: int, trail: list
+) -> list[tuple[GwaElement, GwaElement, GwaElement]]:
+    """Oracle for `_row_triples`: its earlier body, which took the lone route
+    only on the designated generator, kept a paired-route branch for a
+    companion that kills the other generator, and fell back to e2 = e1 - 2
+    when the row killed the designated one.  Appends "e2-fallback" to trail
+    when that fallback runs."""
+    A, side = row_d.algebra, -gen_deg
+    gen_x, gen_y = A.x(), A.y()
+    designated = gen_y if gen_deg < 0 else gen_x
+    other = gen_x if gen_deg < 0 else gen_y
+
+    def single_term_or_zero(e: GwaElement) -> tuple[int, Poly] | None:
+        if e.is_zero():
+            return None
+        if len(e.terms) != 1:
+            raise ValueError(f"not a single-term element: {e}")
+        [(k, p)] = e.terms.items()
+        return k, p
+
+    def row_value(g: GwaElement) -> GwaElement:
+        return row_d.on_x if g == gen_x else row_d.on_y
+
+    def landing_power(g: GwaElement) -> int | None:
+        term = single_term_or_zero(row_value(g))
+        if term is None:
+            return None
+        deg, _ = term
+        if deg * side < 0:
+            raise CertificateError("row value lies on the wrong side")
+        return abs(deg)
+
+    def flank_elem(power: int, coeff: Poly = Poly.one()) -> GwaElement:
+        return A.monomial(-side * power, coeff)
+
+    pure = all((c.on_y if gen_deg < 0 else c.on_x).is_zero() for c in companions)
+    if pure:
+        e = landing_power(designated)
+        if e is None:
+            raise CertificateError("row derivation kills its own designated generator")
+        left_triples = [(flank_elem(e), designated, A.one())]
+        right_triples = [(A.one(), designated, flank_elem(e))]
+    else:
+        if len(companions) != 1:
+            raise CertificateError("combined cancellation only supports pairs")
+        comp = companions[0]
+        if comp.mu != row_d.mu:
+            raise CertificateError("combined cancellation requires matching coarseness in the pair")
+
+        def companion_data(g: GwaElement) -> tuple[Poly, int]:
+            value = comp.on_x if g == gen_x else comp.on_y
+            term = single_term_or_zero(value)
+            if term is None:
+                return Poly.zero(), 0
+            deg, p = term
+            if deg * side > 0:
+                raise CertificateError("companion value lies on the wrong side")
+            return p, abs(deg)
+
+        e1 = landing_power(other)
+        e2 = landing_power(designated)
+        if e1 is not None and e2 is not None and e1 != e2 + 2:
+            raise CertificateError("row powers are not aligned for cancellation")
+        q1, m1 = companion_data(other)
+        q2, m2 = companion_data(designated)
+        if not q1.is_zero() and not q2.is_zero() and m2 != m1 + 2:
+            raise CertificateError("companion powers are not aligned for cancellation")
+        if e1 is None and e2 is None:
+            raise CertificateError("row derivation vanishes on both generators")
+        if e1 is None:
+            e1 = e2 + 2
+        if e2 is None:
+            trail.append("e2-fallback")
+            e2 = e1 - 2
+        if e2 < 0:
+            raise CertificateError("designated-generator value has too small a degree")
+        if q1.is_zero():
+            left_coeffs = (Poly.one(), Poly.zero())
+            right_data = ((Poly.one(), Poly.one()), (Poly.zero(), Poly.one()))
+        else:
+            left_coeffs = (A.phi.apply(q2, -side * e2), -A.phi.apply(q1, -side * e1))
+            common = extended_gcd(q1, q2).g
+            q1_red, q2_red = q1.exact_div(common), q2.exact_div(common)
+            right_data = ((q2_red, Poly.one()), (-Poly.one(), A.phi.apply(q1_red, side * m2)))
+        left_triples = [
+            (flank_elem(e1, left_coeffs[0]), other, A.one()),
+            (flank_elem(e2, left_coeffs[1]), designated, A.one()),
+        ]
+        right_triples = [
+            (A.from_poly(right_data[0][0]), other, flank_elem(e1, right_data[0][1])),
+            (A.from_poly(right_data[1][0]), designated, flank_elem(e2, right_data[1][1])),
+        ]
+
+    def landed(triples) -> Poly:
+        return sum((a * row_value(g) * c for a, g, c in triples), A.zero()).poly_part()
+
+    left_poly, right_poly = landed(left_triples), landed(right_triples)
+    if left_poly.is_zero() or right_poly.is_zero():
+        raise CertificateError("row combination degenerates to zero")
+    witness = extended_gcd(left_poly, right_poly)
+    if not witness.coprime:
+        raise CertificateError(f"landed polynomials are not coprime (gcd = {witness.g})")
+    scale = lambda s, triples: [(A.from_poly(s) * a, g, c) for a, g, c in triples]
+    return [t for t in scale(witness.s, left_triples) + scale(witness.t, right_triples) if t[0]]
+
+
+def derivation_pool(rng, A: GwaAlgebra, centre: Fraction) -> list[SkewDerivation]:
+    """Elementary pieces of weight |w| <= 3 with alpha = gamma (h - centre)^d at
+    mu = u^{1-d}, and inner derivations of h^j X_k at the same coarsenesses."""
+    s, power, pool = Poly([-centre, 1]), Poly.one(), []
+    for d in range(3):
+        mu = A.phi.u ** (1 - d)
+        for w in range(-3, 4):
+            try:
+                alpha = random_fraction(rng, nonzero=True) * power
+                pool.append(elementary_derivation(w, alpha, A, mu))
+            except DerivationError:
+                pass  # weight 0 needs a | alpha_0(a)
+        for k in range(-2, 3):
+            for j in range(2):
+                pool.append(inner_derivation(A.monomial(k, Poly.monomial(1, j)), mu))
+        power = power * s
+    return pool
+
+
+@pytest.mark.parametrize(
+    "A, centre, floors",
+    [
+        (DISC2, F(0), (156, 74, 40)),
+        (GwaAlgebra.plane(F(-3, 2)), F(0), (9, 12, 73)),
+        (GwaAlgebra(Poly([1, 1, 1]), AffineAuto(3, 1)), F(-1, 2), (49, 100, 35)),
+    ],
+    ids=["disc(2)", "plane(-3/2)", "custom-1+h+h^2-3h+1"],
+)
+def test_row_triples_match_the_oracle_or_build_a_verified_row(A, centre, floors):
+    # floors: rows both build, rows only the new code builds, and rows that
+    # reached the oracle's e2 = e1 - 2 fallback (all of which raised)
+    rng = rng_for(f"row-oracle:{A!r}")
+    pool = derivation_pool(rng, A, centre)
+    by_mu: dict[Fraction, list[SkewDerivation]] = {}
+    for d in pool:
+        by_mu.setdefault(d.mu, []).append(d)
+    same = fresh = fallback = 0
+    for _ in range(3000):
+        row = rng.choice(pool)
+        source = by_mu[row.mu] if rng.random() < 0.7 else pool
+        companions = [rng.choice(source) for _ in range(rng.choice([1, 1, 2]))]
+        gen_deg = rng.choice([1, -1])
+        trail: list = []
+        try:
+            expected = row_triples_oracle(row, companions, gen_deg, trail)
+        except CertificateError:
+            expected = None
+        if trail:
+            assert expected is None  # no row has survived the e2 = e1 - 2 fallback
+            fallback += 1
+        try:
+            got = _row_triples(row, companions, gen_deg)
+        except CertificateError:
+            assert expected is None
+            continue
+        if expected is not None:
+            assert got == expected
+            same += 1
+            continue
+        pairs = triples_to_pairs(got, row.mu)
+        total = lambda d: sum((a * d(b) for a, b in pairs), A.zero())
+        assert total(row) == A.one()
+        assert all(total(c) == A.zero() for c in companions)
+        fresh += 1
+    assert all(n >= floor for n, floor in zip((same, fresh, fallback), floors))
+
+
+def test_certificate_for_a_pair_listed_against_its_order():
+    # d_-1(x) = -1 and d_+1(y) = -2 with d_-1(y) = d_+1(x) = 0: each row is
+    # built on the generator its companion kills, whatever b_list designates
+    A = DISC2
+    dm = elementary_derivation(-1, Poly.one(), A, F(2))
+    dp = elementary_derivation(1, Poly.one(), A, F(2))
+    rows = (((A.from_scalar(-1), A.x()),), ((A.from_scalar(F(-1, 2)), A.y()),))
+    assert certificate_from_ideal([A.y(), A.x()], [dm, dp], A).rows == rows
+    assert certificate_from_ideal([A.x(), A.y()], [dp, dm], A).rows == rows[::-1]
 
 
 # -- ratio values and conditions ---------------------------------------------------------

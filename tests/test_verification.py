@@ -147,9 +147,9 @@ def test_extended_gcd_raises_on_failed_witness(monkeypatch):
 
 def test_inner_witness_raises_on_failed_reverification(monkeypatch):
     A, mu = GwaAlgebra.plane(2), Fraction(2)
-    d = inner_derivation(A.x(), A, mu)
+    d = inner_derivation(A.x(), mu)
     # a rebuild that disagrees with d, as a faulty solve would produce
-    rebuild_zero = lambda b, A, mu: SkewDerivation.zero(A, mu)
+    rebuild_zero = lambda b, mu: SkewDerivation.zero(b.algebra, mu)
     monkeypatch.setattr(derivations, "inner_derivation", rebuild_zero)
     with pytest.raises(ArithmeticError):
         inner_witness(d, 1, 1)
