@@ -78,8 +78,7 @@ def _input_doc(args) -> object:
 
 
 def _derivation(A: GwaAlgebra, doc):
-    cand = ser.derivation_from_json(doc, A)
-    report = check_relations(cand.mu, cand.on_h, cand.on_x, cand.on_y)
+    report = check_relations(*ser.derivation_from_json(doc, A))
     if not report.ok:
         name, residual = report.violations[0]
         violation = {"relation": name, "residual": ser.element_to_json(residual)}

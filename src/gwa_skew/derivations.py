@@ -19,7 +19,9 @@ and sigma_mu fixes K[h], the Leibniz rule gives
     d(r) = sum_k alpha_k(r) X_k,    alpha_k the phi^k-twisted derivation
                                     of K[h] with alpha_k(h) = p_k,
 
-for every candidate, verified or not (see `TwistedPolyDerivation`).
+for any prescribed d(h) (see `TwistedPolyDerivation`).  `check_relations`
+extends a candidate's d(h) to K[h] this way before the relations are
+known to hold; a `SkewDerivation` is only made once they do.
 
 The central constructor `build_derivation` assembles a derivation from a
 family of twisted derivations alpha_i of K[h] indexed by integer weights,
@@ -98,15 +100,15 @@ class TwistedPolyDerivation(NamedTuple):
 
 
 class SkewDerivation:
-    """A sigma_mu-twisted derivation, stored by its values on h, x, y;
-    `verified` (set by `check_relations`) takes part in `==`."""
+    """A sigma_mu-twisted derivation, stored by its values on h, x, y, which
+    passed `check_relations` or are a sum or negative of such: the library
+    calls this class only in `check_relations` (under `verified_derivation`
+    and every constructor), `__add__` and `__neg__`."""
 
-    __slots__ = ("mu", "on_h", "on_x", "on_y", "verified")
+    __slots__ = ("mu", "on_h", "on_x", "on_y")
 
-    def __init__(self, mu: Fraction, on_h: GwaElement, on_x: GwaElement, on_y: GwaElement,
-                 verified: bool = False):
-        self.mu, self.verified = mu, verified
-        self.on_h, self.on_x, self.on_y = on_h, on_x, on_y
+    def __init__(self, mu: Fraction, on_h: GwaElement, on_x: GwaElement, on_y: GwaElement):
+        self.mu, self.on_h, self.on_x, self.on_y = mu, on_h, on_x, on_y
 
     @property
     def algebra(self) -> GwaAlgebra:
@@ -121,7 +123,7 @@ class SkewDerivation:
     @staticmethod
     def zero(A: GwaAlgebra, mu: Fraction) -> "SkewDerivation":
         z = A.zero()
-        return SkewDerivation(mu, z, z, z, verified=True)
+        return verified_derivation(mu, z, z, z)
 
     def is_zero(self) -> bool:
         return self.on_h.is_zero() and self.on_x.is_zero() and self.on_y.is_zero()
@@ -130,31 +132,16 @@ class SkewDerivation:
         if self.algebra != other.algebra or self.mu != other.mu:
             raise DerivationError("can only add derivations with the same twist")
         return SkewDerivation(
-            self.mu,
-            self.on_h + other.on_h,
-            self.on_x + other.on_x,
-            self.on_y + other.on_y,
-            verified=self.verified and other.verified,
+            self.mu, self.on_h + other.on_h, self.on_x + other.on_x, self.on_y + other.on_y
         )
 
     def __neg__(self) -> "SkewDerivation":
-        return SkewDerivation(self.mu, -self.on_h, -self.on_x, -self.on_y, self.verified)
+        return SkewDerivation(self.mu, -self.on_h, -self.on_x, -self.on_y)
 
     def __sub__(self, other: "SkewDerivation") -> "SkewDerivation":
         return self + (-other)
 
     # -- evaluation -----------------------------------------------------
-
-    def _on_poly(self, p: Poly) -> GwaElement:
-        """Value on an element of K[h]: sum_k alpha_k(p) X_k, where alpha_k is
-        the phi^k-twisted derivation with alpha_k(h) the degree-k coefficient
-        of d(h)."""
-        A = self.algebra
-        if p.is_constant():  # every alpha_k kills K
-            return A.zero()
-        return A.element(
-            {k: TwistedPolyDerivation(k, c).apply(p, A) for k, c in self.on_h.terms.items()}
-        )
 
     def _on_gen_power(self, k: int) -> GwaElement:
         """Value on x^k (k > 0) or y^{-k} (k < 0)."""
@@ -178,10 +165,20 @@ class SkewDerivation:
         out = A.zero()
         for k, r in e.terms.items():
             mono = A.monomial(k, Poly.one())
-            out = out + self._on_poly(r) * sigma_mu(mono, self.mu) + r * self._on_gen_power(k)
+            out = out + _on_poly(self.on_h, r) * sigma_mu(mono, self.mu) + r * self._on_gen_power(k)
         return out
 
     __call__ = evaluate
+
+
+def _on_poly(on_h: GwaElement, p: Poly) -> GwaElement:
+    """Value on an element of K[h] of any candidate with d(h) = on_h:
+    sum_k alpha_k(p) X_k, where alpha_k is the phi^k-twisted derivation with
+    alpha_k(h) the degree-k coefficient of on_h."""
+    A = on_h.algebra
+    if p.is_constant():  # every alpha_k kills K
+        return A.zero()
+    return A.element({k: TwistedPolyDerivation(k, c).apply(p, A) for k, c in on_h.terms.items()})
 
 
 # -- relation checking --------------------------------------------------
@@ -209,21 +206,20 @@ def check_relations(
     """
     if mu == 0:
         raise DerivationError("coarseness mu must be nonzero")
-    cand = SkewDerivation(mu, on_h, on_x, on_y, verified=False)
-    A = cand.algebra
+    A = on_h.algebra
     x, y, h = A.x(), A.y(), A.h()
     sig = lambda e: sigma_mu(e, mu)
     phi_h = A.phi.h_image()
     phi_inv_h = A.phi.inverse().h_image()
 
     residuals = {
-        "xy": on_x * sig(y) + x * on_y - cand._on_poly(A.phi.apply(A.a)),
-        "yx": on_y * sig(x) + y * on_x - cand._on_poly(A.a),
-        "xh": on_x * sig(h) + x * on_h - cand._on_poly(phi_h) * sig(x) - phi_h * on_x,
-        "yh": on_y * sig(h) + y * on_h - cand._on_poly(phi_inv_h) * sig(y) - phi_inv_h * on_y,
+        "xy": on_x * sig(y) + x * on_y - _on_poly(on_h, A.phi.apply(A.a)),
+        "yx": on_y * sig(x) + y * on_x - _on_poly(on_h, A.a),
+        "xh": on_x * sig(h) + x * on_h - _on_poly(on_h, phi_h) * sig(x) - phi_h * on_x,
+        "yh": on_y * sig(h) + y * on_h - _on_poly(on_h, phi_inv_h) * sig(y) - phi_inv_h * on_y,
     }
     violations = [(name, r) for name, r in residuals.items() if not r.is_zero()]
-    derivation = None if violations else SkewDerivation(mu, on_h, on_x, on_y, verified=True)
+    derivation = None if violations else SkewDerivation(mu, on_h, on_x, on_y)
     return RelationReport(violations, derivation)
 
 
@@ -425,10 +421,10 @@ def classify_positive(d: SkewDerivation) -> WeightData:
     """Recover weighted data from a derivation with d(x) = 0 and d(K[h])
     supported in nonnegative degrees.
 
-    The reconstruction recomputes `build_derivation`'s values and demands
-    exact equality, so a successful return is a certified round trip; as in
-    `classify_sigma_q`, the relations are checked again only for an
-    unverified d.  The mirrored case (d(y) = 0, negative support) is
+    The data is read off d(h) and rebuilt with `build_derivation`, which
+    checks the rebuild against the relations; the return demands that the
+    rebuild equal d, so a successful return is a certified round trip.
+    The mirrored case (d(y) = 0, negative support) is
     `classify_positive(derivation_through_symmetry(d))`.
     """
     if not d.on_x.is_zero():
@@ -440,14 +436,20 @@ def classify_positive(d: SkewDerivation) -> WeightData:
         )
     data = WeightData(d.mu, dict(d.on_h.terms))
     try:
-        on_h, on_x, on_y = _weighted_values(data, d.algebra)
-        if not d.verified:
-            verified_derivation(d.mu, on_h, on_x, on_y)
+        rebuilt = build_derivation(data, d.algebra)
     except DerivationError as exc:
         raise ClassificationError(f"extracted data is inadmissible: {exc}") from exc
-    if on_y != d.on_y:
-        raise ClassificationError(f"d(y) = {d.on_y} differs from reconstruction {on_y}")
+    _require_rebuild(d, rebuilt)
     return data
+
+
+def _require_rebuild(d: SkewDerivation, rebuilt: SkewDerivation) -> None:
+    """Raise ClassificationError naming the first of d(y), d(h), d(x) that
+    differs from a classifier's rebuild, which is made at d's own mu."""
+    for g in "yhx":
+        mine, theirs = getattr(d, "on_" + g), getattr(rebuilt, "on_" + g)
+        if mine != theirs:
+            raise ClassificationError(f"d({g}) = {mine} differs from reconstruction {theirs}")
 
 
 # -- behaviour under gradings ---------------------------------------------
@@ -548,8 +550,7 @@ def inner_witness(d: SkewDerivation, degree_bound: int, poly_bound: int) -> GwaE
     witness = A.element(
         {k: Poly(solution[t * n : (t + 1) * n]) for t, k in enumerate(degrees)}
     )
-    rebuilt = inner_derivation(witness, mu)
-    if (rebuilt.on_h, rebuilt.on_x, rebuilt.on_y) != (d.on_h, d.on_x, d.on_y):
+    if inner_derivation(witness, mu) != d:
         raise ArithmeticError("inner witness fails re-verification")
     return witness
 

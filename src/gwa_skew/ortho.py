@@ -138,8 +138,9 @@ def _coprime_witness(left: Poly, right: Poly) -> BezoutWitness:
 
 
 def _single_term(value: GwaElement, side: int, whose: str) -> tuple[Poly, int] | None:
-    """Coefficient and power of a one-term value whose degree has the sign
-    `side` or is 0, or None when the value is zero."""
+    """Coefficient and degree of a one-term value, or None when the value is
+    zero; the degree must have the sign `side` or be 0 (any degree when
+    side is 0)."""
     if value.is_zero():
         return None
     if len(value.terms) != 1:
@@ -147,7 +148,7 @@ def _single_term(value: GwaElement, side: int, whose: str) -> tuple[Poly, int] |
     [(deg, p)] = value.terms.items()
     if deg * side < 0:
         raise CertificateError(f"{whose} value lies on the wrong side")
-    return p, abs(deg)
+    return p, deg
 
 
 def _row_triples(
@@ -155,15 +156,14 @@ def _row_triples(
 ) -> list[tuple[GwaElement, GwaElement, GwaElement]]:
     """Flanked witnesses expressing 1 through row_d while killing companions.
 
-    gen_deg is +1 when the designated generator is x (row values then live
-    on the y side) and -1 for y (row values on the x side); `side` is the
-    sign of the degrees carried by the row values, and flanks are powers of
-    the designated generator (signed degree -side * power).
+    gen_deg is +1 when the designated generator is x and -1 for y.  A row
+    value p X_k is landed in K[h] by the flank X_{-k} on either side.
 
     The row is built on the first generator g, the designated one and then
-    the other, that every companion kills: the row value on g is flanked on
-    either side.  When no such g exists, the paired route mixes the row
-    values on both generators; it needs a single companion, nonzero on both.
+    the other, that every companion kills, whatever the sign of the row
+    value on g.  When no such g exists, the paired route mixes the row
+    values on both generators; it needs a single companion, nonzero on both,
+    with values of sign gen_deg where the row's have sign side = -gen_deg.
     A row or companion value with more than one term raises CertificateError.
     """
     A, side = row_d.algebra, -gen_deg
@@ -173,24 +173,24 @@ def _row_triples(
     def value(d: SkewDerivation, g: GwaElement) -> GwaElement:
         return d.on_x if g is x else d.on_y
 
-    def row_power(g: GwaElement) -> int | None:
-        term = _single_term(value(row_d, g), side, "row")
+    def row_deg(g: GwaElement, sign: int) -> int | None:
+        term = _single_term(value(row_d, g), sign, "row")
         return None if term is None else term[1]
 
-    def flank(power: int, coeff: Poly = Poly.one()) -> GwaElement:
-        return A.monomial(-side * power, coeff)
+    def flank(deg: int, coeff: Poly = Poly.one()) -> GwaElement:
+        return A.monomial(-deg, coeff)
 
     killed = (g for g in (designated, other) if all(value(c, g).is_zero() for c in companions))
     g = next(killed, None)
     if g is not None:
-        e = row_power(g)
-        if e is None:
+        k = row_deg(g, 0)
+        if k is None:
             raise CertificateError(
                 "row derivation kills its own designated generator" if g is designated
                 else "row derivation kills the generator every companion kills"
             )
-        left_triples = [(flank(e), g, A.one())]
-        right_triples = [(A.one(), g, flank(e))]
+        left_triples = [(flank(k), g, A.one())]
+        right_triples = [(A.one(), g, flank(k))]
     else:
         # Paired route: the flank coefficients of the two row values are
         # tuned so that the combination cancels on the companion.
@@ -201,28 +201,28 @@ def _row_triples(
             raise CertificateError(
                 "combined cancellation requires matching coarseness in the pair"
             )
-        e1, e2 = row_power(other), row_power(designated)
-        if e1 is not None and e2 is not None and e1 != e2 + 2:
+        e1, e2 = row_deg(other, side), row_deg(designated, side)
+        if e1 is not None and e2 is not None and e1 != e2 + 2 * side:
             raise CertificateError("row powers are not aligned for cancellation")
         # the companion kills neither generator, or the row would be built on one
         (q1, m1), (q2, m2) = (
             _single_term(value(comp, gen), -side, "companion") for gen in (other, designated)
         )
-        if m2 != m1 + 2:
+        if m2 != m1 - 2 * side:
             raise CertificateError("companion powers are not aligned for cancellation")
         if e2 is None:
             raise CertificateError("row derivation kills its own designated generator")
         if e1 is None:
-            e1 = e2 + 2
+            e1 = e2 + 2 * side
         common = extended_gcd(q1, q2).g
         q1_red, q2_red = q1.exact_div(common), q2.exact_div(common)
         left_triples = [
-            (flank(e1, A.phi.apply(q2, -side * e2)), other, A.one()),
-            (flank(e2, -A.phi.apply(q1, -side * e1)), designated, A.one()),
+            (flank(e1, A.phi.apply(q2, -e2)), other, A.one()),
+            (flank(e2, -A.phi.apply(q1, -e1)), designated, A.one()),
         ]
         right_triples = [
             (A.from_poly(q2_red), other, flank(e1)),
-            (-A.one(), designated, flank(e2, A.phi.apply(q1_red, side * m2))),
+            (-A.one(), designated, flank(e2, A.phi.apply(q1_red, -m2))),
         ]
 
     def landed(triples) -> Poly:

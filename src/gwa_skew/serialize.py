@@ -146,27 +146,30 @@ def element_from_json(doc, A: GwaAlgebra) -> GwaElement:
 
 
 def derivation_to_json(d: SkewDerivation) -> dict:
+    """`"verified"` is always true, as every SkewDerivation passed the relation
+    check; the field stays on the wire for readers that require it."""
     return {
         "mu": rat_to_json(d.mu),
         "on_h": element_to_json(d.on_h),
         "on_x": element_to_json(d.on_x),
         "on_y": element_to_json(d.on_y),
-        "verified": d.verified,
+        "verified": True,
     }
 
 
-def derivation_from_json(doc, A: GwaAlgebra) -> SkewDerivation:
+def derivation_from_json(doc, A: GwaAlgebra) -> tuple[Fraction, GwaElement, GwaElement, GwaElement]:
+    """The candidate (mu, on_h, on_x, on_y) of a document, for `check_relations`
+    to accept or refuse: a document never vouches for itself."""
     if not isinstance(doc, dict):
         raise SchemaError("derivation document must be an object")
     for key in ("mu", "on_h", "on_x", "on_y"):
         if key not in doc:
             raise SchemaError(f"derivation document is missing {key!r}")
-    return SkewDerivation(
+    return (
         rat_from_json(doc["mu"]),
         element_from_json(doc["on_h"], A),
         element_from_json(doc["on_x"], A),
         element_from_json(doc["on_y"], A),
-        verified=False,
     )
 
 

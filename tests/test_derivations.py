@@ -10,6 +10,7 @@ from gwa_skew import (
     DerivationError,
     FiniteOrderData,
     GwaAlgebra,
+    GwaElement,
     SkewDerivation,
     TwistedPolyDerivation,
     WeightData,
@@ -27,7 +28,7 @@ from gwa_skew import (
     q_check,
     sigma_mu,
 )
-from gwa_skew.derivations import verified_derivation
+from gwa_skew.derivations import _on_poly, verified_derivation
 from gwa_skew.poly import AffineAuto, Poly
 
 F = Fraction
@@ -66,10 +67,9 @@ def test_twisted_leibniz_rule_holds():
 
 
 def test_check_relations_accepts_diagonal_family():
-    rep = check_relations(
-        F(2), DISC2.zero(), DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly([0, -1]))
-    )
-    assert rep.ok and rep.derivation.verified
+    on_x, on_y = DISC2.monomial(1, Poly.h()), DISC2.monomial(-1, Poly([0, -1]))
+    rep = check_relations(F(2), DISC2.zero(), on_x, on_y)
+    assert rep.ok and rep.derivation == SkewDerivation(F(2), DISC2.zero(), on_x, on_y)
 
 
 def test_check_relations_rejects_flipped_sign():
@@ -111,13 +111,14 @@ def test_evaluate_on_h_matches_direct_value():
     assert manual.is_zero()
 
 
-def leibniz_fold(d: SkewDerivation, p: Poly):
-    """Oracle for d on K[h]: d(h^i) = d(h) h^{i-1} + h d(h^{i-1}), summed over p."""
-    A = d.algebra
+def leibniz_fold(on_h: GwaElement, p: Poly):
+    """Oracle for d on K[h] given d(h) = on_h: d(h^i) = d(h) h^{i-1} + h d(h^{i-1}),
+    summed over p."""
+    A = on_h.algebra
     out, power_val = A.zero(), A.zero()  # power_val = d(h^i), from i = 0
     for i, c in enumerate(p.coeffs):
         if i > 0:
-            power_val = d.on_h * A.from_poly(Poly.monomial(1, i - 1)) + A.h() * power_val
+            power_val = on_h * A.from_poly(Poly.monomial(1, i - 1)) + A.h() * power_val
         out = out + c * power_val
     return out
 
@@ -142,11 +143,10 @@ def test_on_poly_matches_leibniz_fold(A):
         on_h = A.element({k: random_poly(rng, 2, nonzero=True) for k in weights})
         mu = random_fraction(rng, nonzero=True)
         on_x, on_y = random_element(rng, A), random_element(rng, A)
-        d = SkewDerivation(mu, on_h, on_x, on_y)
         unverified += not check_relations(mu, on_h, on_x, on_y).ok
         for _ in range(3):
             p = random_poly(rng, 5)
-            assert d._on_poly(p) == leibniz_fold(d, p)
+            assert _on_poly(on_h, p) == leibniz_fold(on_h, p)
     assert unverified > 30
 
 
@@ -198,7 +198,7 @@ def test_build_disc_weight_one_example():
 
 def test_build_zero_data_gives_zero_derivation():
     d = build_derivation(WeightData(F(2), {}), DISC2)
-    assert d.is_zero() and d.verified
+    assert d.is_zero() and check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
 
 
 def test_build_rejects_bad_twist_condition():
@@ -306,12 +306,18 @@ def test_weight_data_equality_ignores_zero_alphas():
     assert data != WeightData(F(3), {1: Poly.one()})
 
 
-def test_skew_derivation_equality_compares_verified():
+def test_skew_derivation_equality_compares_mu_and_values():
     d = build_derivation(WeightData(F(2), {1: Poly.one()}), DISC2)
-    assert d.verified
-    assert d == SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y, verified=True)
-    assert d != SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y)
-    assert d != SkewDerivation(F(3), d.on_h, d.on_x, d.on_y, verified=True)
+    assert d == SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y)
+    assert d != SkewDerivation(F(3), d.on_h, d.on_x, d.on_y)
+    assert d != SkewDerivation(d.mu, d.on_h + DISC2.h(), d.on_x, d.on_y)
+    assert d != SkewDerivation(d.mu, d.on_h, d.on_x + DISC2.x(), d.on_y)
+    assert d != SkewDerivation(d.mu, d.on_h, d.on_x, -d.on_y)
+
+
+def test_zero_derivation_needs_nonzero_mu():
+    with pytest.raises(DerivationError, match="mu must be nonzero"):
+        SkewDerivation.zero(DISC2, F(0))
 
 
 # -- classification ---------------------------------------------------------------
@@ -343,9 +349,9 @@ def test_classify_positive_round_trip_random(rng):
             assert classify_positive(d) == data
 
 
-def test_classify_positive_verifies_only_unverified_input(monkeypatch):
-    # a verified d whose d(y) matches the rebuild certifies it: no second
-    # relation check; an unverified one still has its rebuild checked
+def test_classify_positive_rechecks_its_rebuild_once(monkeypatch):
+    # each classify rebuilds through `build_derivation`, whose one relation
+    # check certifies the rebuild that d must equal
     from gwa_skew import derivations
 
     calls = []
@@ -353,12 +359,19 @@ def test_classify_positive_verifies_only_unverified_input(monkeypatch):
     monkeypatch.setattr(derivations, "check_relations", lambda *a: calls.append(1) or original(*a))
     data = WeightData(F(2), {1: Poly.one(), 3: Poly([F(-1, 2)])})
     d = build_derivation(data, DISC2)
-    assert d.verified and len(calls) == 1
-    assert classify_positive(d) == data
     assert len(calls) == 1
-    unverified = SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y, verified=False)
-    assert classify_positive(unverified) == data
+    assert classify_positive(d) == data
     assert len(calls) == 2
+    assert classify_positive(SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y)) == data
+    assert len(calls) == 3
+
+
+def test_classify_positive_refuses_a_d_y_off_the_rebuild():
+    d = build_derivation(WeightData(F(2), {1: Poly.one()}), DISC2)
+    cand = SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y + DISC2.y())
+    assert not check_relations(cand.mu, cand.on_h, cand.on_x, cand.on_y).ok
+    with pytest.raises(ClassificationError, match=r"^d\(y\) = .* differs from reconstruction"):
+        classify_positive(cand)
 
 
 def test_classify_negative_through_symmetry(rng):
@@ -447,7 +460,7 @@ def test_finite_order_reflection_instance():
     B = GwaAlgebra(Poly([0, 0, 1]), AffineAuto(-1, 0))
     data = FiniteOrderData(2, F(1), pos=((Poly.h(), Poly.zero()),))
     d = build_finite_order(data, B)
-    assert d.verified
+    assert check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
     assert d.on_h == B.monomial(2, Poly.h())
     assert d.on_x.is_zero()
     assert d.on_y == B.monomial(1, Poly([0, 0, 2]))
@@ -469,7 +482,7 @@ def test_finite_order_with_witness_polynomials():
         2, F(1), pos=((Poly.h(), Poly([0, 0, 3])),), neg=((Poly.h(), Poly([0, 0, -1])),)
     )
     d = build_finite_order(data, B)
-    assert d.verified
+    assert check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
 
 
 @pytest.mark.parametrize("mu", [F(1), F(-1), F(2)])
@@ -480,7 +493,7 @@ def test_finite_order_c_n_piece_where_phi_moves_a(mu, n, c_n):
     A = GwaAlgebra(Poly([3, 1, 1]), AffineAuto(-1, 1))
     neg = ((Poly.zero(), Poly.zero()),) * (n - 1) + ((Poly.zero(), c_n),)
     d = build_finite_order(FiniteOrderData(2, mu, neg=neg), A)
-    assert d.verified
+    assert check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
     assert d.on_x == A.monomial(1 - 2 * n, -A.phi.apply(c_n * A.a) * (1 / mu))
     assert d.on_y == A.monomial(-(2 * n + 1), c_n)
 

@@ -111,7 +111,7 @@ def test_h_power_family_degenerate_example():
 def test_h_power_family_general():
     d = h_power_derivation(2, [F(1), F(3)], [F(0), F(1)], PLANE2)
     assert d.mu == F(1, 2)
-    assert d.verified
+    assert check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
     assert d.on_x == PLANE2.monomial(-1, Poly([0, 0, 1]))
     assert d.on_y == PLANE2.element({0: Poly([0, 0, 1]), 1: Poly([0, 0, 3])})
 
@@ -145,7 +145,7 @@ def test_build_sigma_q_pure_f():
     d = build_sigma_q(SigmaQData({}, f=(F(0), F(0), F(1))), DISC2)
     assert d.on_x.is_zero()
     assert d.on_y == DISC2.x(2)
-    assert d.verified
+    assert check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
 
 
 def test_build_sigma_q_random_data_verifies(rng):
@@ -161,9 +161,7 @@ def test_build_sigma_q_random_data_verifies(rng):
                     g=tuple(random_fraction(rng) for _ in range(rng.randint(0, 3))),
                 )
                 d = build_sigma_q(data, A)
-                assert d.verified
-                rep = check_relations(d.mu, d.on_h, d.on_x, d.on_y)
-                assert rep.ok
+                assert check_relations(d.mu, d.on_h, d.on_x, d.on_y).ok
 
 
 def test_classify_sigma_q_round_trip(rng):
@@ -180,9 +178,9 @@ def test_classify_sigma_q_round_trip(rng):
             assert classify_sigma_q(build_sigma_q(data, A)) == data
 
 
-def test_classify_sigma_q_verifies_only_unverified_input(monkeypatch):
-    # a verified d whose values match the rebuild certifies it: no second
-    # relation check; an unverified one still has its rebuild checked
+def test_classify_sigma_q_rechecks_its_rebuild_once(monkeypatch):
+    # each classify rebuilds through `build_sigma_q`, whose one relation
+    # check certifies the rebuild that d must equal
     from gwa_skew import derivations
 
     calls = []
@@ -190,12 +188,21 @@ def test_classify_sigma_q_verifies_only_unverified_input(monkeypatch):
     monkeypatch.setattr(derivations, "check_relations", lambda *a: calls.append(1) or original(*a))
     data = SigmaQData({(0, 1): F(1), (1, 2): F(-3, 2)}, f=(F(2),), g=(F(0), F(1)))
     d = build_sigma_q(data, DISC2)
-    assert d.verified and len(calls) == 1
-    assert classify_sigma_q(d) == data
     assert len(calls) == 1
-    unverified = SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y, verified=False)
-    assert classify_sigma_q(unverified) == data
+    assert classify_sigma_q(d) == data
     assert len(calls) == 2
+    assert classify_sigma_q(SkewDerivation(d.mu, d.on_h, d.on_x, d.on_y)) == data
+    assert len(calls) == 3
+
+
+def test_classify_sigma_q_refuses_a_wrong_d_h():
+    # d(x) and d(y) match the rebuild, but d(h) is not the one d(a) forces:
+    # the relations reject the candidate, and so must the classifier
+    d = build_sigma_q(SigmaQData({(0, 1): F(1)}, f=(F(2),)), DISC2)
+    cand = SkewDerivation(d.mu, d.on_h + DISC2.h(), d.on_x, d.on_y)
+    assert not check_relations(cand.mu, cand.on_h, cand.on_x, cand.on_y).ok
+    with pytest.raises(ClassificationError, match=r"^d\(h\) = .* differs from reconstruction"):
+        classify_sigma_q(cand)
 
 
 def test_classify_sigma_q_zero():

@@ -13,6 +13,7 @@ from gwa_skew import (
     OrthoCertificate,
     SkewDerivation,
     certificate_from_ideal,
+    check_relations,
     disc_pair,
     elementary_derivation,
     elementary_pair,
@@ -357,9 +358,9 @@ def derivation_pool(rng, A: GwaAlgebra, centre: Fraction) -> list[SkewDerivation
 @pytest.mark.parametrize(
     "A, centre, floors",
     [
-        (DISC2, F(0), (156, 74, 40)),
+        (DISC2, F(0), (156, 216, 40)),
         (GwaAlgebra.plane(F(-3, 2)), F(0), (9, 12, 73)),
-        (GwaAlgebra(Poly([1, 1, 1]), AffineAuto(3, 1)), F(-1, 2), (49, 100, 35)),
+        (GwaAlgebra(Poly([1, 1, 1]), AffineAuto(3, 1)), F(-1, 2), (49, 238, 35)),
     ],
     ids=["disc(2)", "plane(-3/2)", "custom-1+h+h^2-3h+1"],
 )
@@ -400,6 +401,19 @@ def test_row_triples_match_the_oracle_or_build_a_verified_row(A, centre, floors)
         assert all(total(c) == A.zero() for c in companions)
         fresh += 1
     assert all(n >= floor for n, floor in zip((same, fresh, fallback), floors))
+
+
+def test_lone_row_value_on_the_designated_side_is_flanked_by_its_inverse():
+    # d(y) = y^2 sigma(y) - y y^2 = y^3 has the sign of the designated y;
+    # flanked by x^3 it lands 1 - 14h + 56h^2 - 64h^3 and
+    # 1 - 7/4 h + 7/8 h^2 - 1/8 h^3, which are coprime
+    A = DISC2
+    d = inner_derivation(A.y(2), F(2))
+    assert d.on_y == A.y(3)
+    triples = _row_triples(d, [], -1)
+    assert [c for _, _, c in triples] == [A.one(), A.x(3)]
+    cert = certificate_from_ideal([A.y()], [d], A)
+    assert verify_certificate(cert, [d], A).ok
 
 
 def test_certificate_for_a_pair_listed_against_its_order():
@@ -498,7 +512,8 @@ def test_disc_pair_is_always_verified(rng):
         m, n = rng.randint(2, 4), rng.randint(2, 4)
         c, cbar = random_fraction(rng, nonzero=True), random_fraction(rng, nonzero=True)
         d, dbar = disc_pair(m, n, c, cbar, F(3))
-        assert d.verified and dbar.verified
+        for e in (d, dbar):
+            assert check_relations(e.mu, e.on_h, e.on_x, e.on_y).ok
 
 
 @pytest.mark.parametrize("m, n", [(1, 3), (3, 1)])

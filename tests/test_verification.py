@@ -95,6 +95,25 @@ def test_no_signature_takes_an_algebra_beside_an_element_or_derivation():
     assert found == []
 
 
+def test_only_the_relation_check_and_its_closure_make_a_skew_derivation():
+    # a SkewDerivation holds values that passed `check_relations`, or a sum
+    # or negative of such: the class is called there and nowhere else
+    def callers(node: ast.AST, where: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and ast.unparse(child.func).split(".")[-1] == "SkewDerivation":
+                yield where
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            yield from callers(child, inner)
+
+    found = {
+        (path.name, where)
+        for path in sorted(SOURCE.glob("*.py"))
+        for where in callers(ast.parse(path.read_text(), filename=str(path)), None)
+    }
+    allowed = {"check_relations", "__add__", "__neg__"}
+    assert found == {("derivations.py", name) for name in allowed}
+
+
 def test_only_poly_reads_the_fraction_view():
     # the library works on (num, den); `coeffs` is a view for callers outside it
     found = [
